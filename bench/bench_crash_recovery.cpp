@@ -141,10 +141,9 @@ main(int argc, char **argv)
             auto config = base;
             config.checkpoint = arms[i].checkpoint;
             config.faults = faults;
-            return ArmResult{
-                core::RunRequest(std::move(config))
-                    .metrics(metrics, "arm." + arms[i].key)
-                    .run(plan)};
+            config.metrics = metrics;
+            config.metricsScope = "arm." + arms[i].key;
+            return ArmResult{core::runSystem(config, plan)};
         });
 
     // Useful work is policy-independent: the job's iterations at the

@@ -113,19 +113,6 @@ runIngestPhase(const SystemConfig &config)
     return phase;
 }
 
-void
-fillIngestStats(RunReport &report, const IngestPhase &phase,
-                int iterations)
-{
-    report.ingestEvents = phase.report.events;
-    report.ingestDropped = phase.report.dropped;
-    report.ingestSpilled = phase.report.spilled;
-    report.ingestBatches = phase.report.batches;
-    report.ingestStagingP99 = phase.report.p99;
-    report.ingestLastReadyAt =
-        phase.readyAt[static_cast<std::size_t>(iterations) - 1];
-}
-
 /** Per-system behavioural knobs shared by all GPU-preprocessing runs. */
 struct GpuSystemTraits
 {
@@ -204,31 +191,14 @@ traitsFor(System system)
 /**
  * Resolve the hardware description for @p config: the explicit
  * subset-cluster override when the fleet passed one, otherwise the
- * default DGX-A100 node sized to gpuCount. Validates the subset /
- * envelope vectors against the GPU count in either case.
+ * default DGX-A100 node sized to gpuCount (validate() has already
+ * checked it against the GPU count).
  */
 sim::ClusterSpec
 clusterSpecFor(const SystemConfig &config)
 {
-    RAP_ASSERT(config.gpuSubset.empty() ||
-                   static_cast<int>(config.gpuSubset.size()) ==
-                       config.gpuCount,
-               "gpuSubset must label every GPU");
-    RAP_ASSERT(config.envelopes.empty() ||
-                   static_cast<int>(config.envelopes.size()) ==
-                       config.gpuCount,
-               "envelopes must cover every GPU");
-    for (const auto &env : config.envelopes) {
-        RAP_ASSERT(env.sm > 0.0 && env.sm <= 1.0 && env.bw > 0.0 &&
-                       env.bw <= 1.0,
-                   "GPU envelope shares must be in (0, 1]");
-    }
-    if (config.clusterSpec) {
-        RAP_ASSERT(config.clusterSpec->gpuCount == config.gpuCount,
-                   "clusterSpec GPU count must match config.gpuCount");
-        return *config.clusterSpec;
-    }
-    return sim::dgxA100Spec(config.gpuCount);
+    return config.clusterSpec ? *config.clusterSpec
+                              : sim::dgxA100Spec(config.gpuCount);
 }
 
 /**
@@ -246,50 +216,6 @@ modelConfigFor(const SystemConfig &config, const preproc::PreprocPlan &plan)
     return model;
 }
 
-/** Shrink each device to its configured envelope share (co-location). */
-void
-applyEnvelopes(sim::Cluster &cluster, const SystemConfig &config)
-{
-    for (std::size_t g = 0; g < config.envelopes.size(); ++g) {
-        const auto &env = config.envelopes[g];
-        if (env.sm < 1.0)
-            cluster.device(static_cast<int>(g)).degradeSm(env.sm);
-        if (env.bw < 1.0)
-            cluster.device(static_cast<int>(g)).degradeBw(env.bw);
-    }
-}
-
-/**
- * Forward the engine-jobs knob to the cluster's DES engine. Training
- * runs keep a single time zone — every iteration is synchronised by
- * all-GPU collectives at sub-lookahead granularity, so a conservative
- * partition would degenerate into one zone per barrier — which makes
- * this a validated no-op today; partitioned simulations (bench_scale's
- * synthetic fleets, via Cluster::partitionZones) consume the worker
- * count for the window bodies.
- */
-void
-applyEngineJobs(sim::Cluster &cluster, const SystemConfig &config)
-{
-    const int jobs = config.engineJobs == 0
-                         ? ThreadPool::hardwareThreads()
-                         : config.engineJobs;
-    cluster.engine().setJobs(jobs);
-}
-
-/** Dump the run's Chrome trace when the config asked for one. */
-void
-maybeWriteTrace(const sim::Cluster &cluster, const SystemConfig &config)
-{
-    if (config.tracePath.empty())
-        return;
-    sim::TraceExportOptions options;
-    // Recorded spans (planner phases, per-iteration sim spans) render
-    // into the trace alongside the kernel tracks.
-    options.spans = config.metrics;
-    sim::writeChromeTrace(cluster, config.tracePath, options);
-}
-
 /** Embedding-table placement shared by every system variant. */
 dlrm::EmbeddingSharding
 makeSharding(const SystemConfig &config,
@@ -301,26 +227,6 @@ makeSharding(const SystemConfig &config,
                      config.rowWiseThreshold)
                : dlrm::EmbeddingSharding::balanced(plan.schema,
                                                    config.gpuCount);
-}
-
-/** Aggregate utilisation statistics over the steady-state window. */
-void
-fillUtilisation(RunReport &report, sim::Cluster &cluster, Seconds t0,
-                Seconds t1)
-{
-    RunningStat sm, bw, busy;
-    Bytes p2p = 0.0;
-    for (int g = 0; g < cluster.gpuCount(); ++g) {
-        auto &trace = cluster.device(g).trace();
-        sm.add(trace.avgSmUsage(t0, t1));
-        bw.add(trace.avgBwUsage(t0, t1));
-        busy.add(trace.busyFraction(t0, t1));
-        p2p += cluster.device(g).p2pLink().totalBytes();
-    }
-    report.avgSmUtil = sm.mean();
-    report.avgBwUtil = bw.mean();
-    report.avgGpuBusy = busy.mean();
-    report.p2pBytes = p2p;
 }
 
 /**
@@ -350,28 +256,6 @@ armCheckpoints(const SystemConfig &sys, const dlrm::DlrmConfig &model,
             : sys.iterations;
     driver.setCheckpoint(std::move(bytes), cadence);
     return true;
-}
-
-/**
- * Summed checkpoint drain time (slowest GPU per drain) after
- * iterations [from, to) — what checkpointing added to the wall clock
- * inside a measurement window.
- */
-Seconds
-checkpointSecondsInWindow(const dlrm::TrainingDriver &driver, int gpus,
-                          int from, int to)
-{
-    Seconds total = 0.0;
-    for (int j = from; j < to; ++j) {
-        Seconds worst = 0.0;
-        for (int g = 0; g < gpus; ++g) {
-            const auto &span = driver.checkpointSpan(g, j);
-            if (span.valid())
-                worst = std::max(worst, span.duration());
-        }
-        total += worst;
-    }
-    return total;
 }
 
 /**
@@ -431,17 +315,6 @@ applyRecovery(const SystemConfig &sys, RunReport &report,
     }
 }
 
-/** Aggregate fault-injection statistics over the whole run. */
-void
-fillFaultStats(RunReport &report, sim::Cluster &cluster)
-{
-    for (int g = 0; g < cluster.gpuCount(); ++g) {
-        report.kernelRetries += cluster.device(g).kernelRetries();
-        report.retryBackoffSeconds +=
-            cluster.device(g).retryBackoffSeconds();
-    }
-}
-
 /**
  * Record the run's per-iteration observability after the simulation
  * drained: iteration-interval series + fixed-bucket histogram, exposed
@@ -451,10 +324,9 @@ fillFaultStats(RunReport &report, sim::Cluster &cluster)
  * deterministic.
  */
 void
-recordIterationMetrics(const SystemConfig &config,
-                       sim::Cluster &cluster,
+recordIterationMetrics(const SystemConfig &config, sim::Cluster &cluster,
                        dlrm::TrainingDriver &driver,
-                       const std::vector<Seconds> *predicted = nullptr)
+                       const std::vector<Seconds> *predicted)
 {
     obs::MetricRegistry *metrics = config.metrics;
     if (metrics == nullptr)
@@ -491,6 +363,241 @@ recordIterationMetrics(const SystemConfig &config,
     cluster.exportMetrics(*metrics, runLabels(config));
 }
 
+/**
+ * The simulated node a run executes on: the cluster shrunk to its
+ * configured envelopes, with the DES engine's worker count, and the
+ * optional seeded fault scenario (degraded SM/HBM envelopes, slow
+ * links, transient kernel-launch failures; sim/fault.hpp) split in
+ * two. Degradations are armed on the cluster. Fail-stop events become
+ * crashTimes: the DES measures the checkpoint-free steady state on
+ * live devices, and the crash/restore timeline is composed
+ * analytically afterwards (applyRecovery) — realistic MTBFs dwarf the
+ * simulated horizon.
+ */
+struct SimNode
+{
+    explicit SimNode(const SystemConfig &config)
+        : cluster(clusterSpecFor(config), config.gpuSubset)
+    {
+        // Co-location: shrink each device to its envelope share.
+        for (std::size_t g = 0; g < config.envelopes.size(); ++g) {
+            auto &device = cluster.device(static_cast<int>(g));
+            if (config.envelopes[g].sm < 1.0)
+                device.degradeSm(config.envelopes[g].sm);
+            if (config.envelopes[g].bw < 1.0)
+                device.degradeBw(config.envelopes[g].bw);
+        }
+        // Training runs keep a single time zone — every iteration is
+        // synchronised by all-GPU collectives at sub-lookahead
+        // granularity, so a conservative partition would degenerate
+        // into one zone per barrier — which makes the worker count a
+        // validated no-op today; partitioned simulations (bench_scale's
+        // synthetic fleets, via Cluster::partitionZones) consume it.
+        cluster.engine().setJobs(config.engineJobs == 0
+                                     ? ThreadPool::hardwareThreads()
+                                     : config.engineJobs);
+        if (config.faults) {
+            crashTimes = config.faults->failStopTimes();
+            injector.emplace(config.faults->degradationOnly());
+            injector->arm(cluster);
+        }
+    }
+
+    sim::Cluster cluster;
+    std::optional<sim::FaultInjector> injector;
+    std::vector<Seconds> crashTimes;
+};
+
+/** One event per GPU per iteration, indexed [g][j]. */
+using GpuEvents = std::vector<std::vector<sim::SimEventPtr>>;
+
+/** @return Fresh events named "<prefix>.g<g>.<j>". */
+GpuEvents
+makeGpuEvents(const std::string &prefix, int gpus, int iterations)
+{
+    GpuEvents events(static_cast<std::size_t>(gpus));
+    for (int g = 0; g < gpus; ++g) {
+        for (int j = 0; j < iterations; ++j) {
+            events[static_cast<std::size_t>(g)].push_back(
+                sim::makeEvent(prefix + ".g" + std::to_string(g) + "." +
+                               std::to_string(j)));
+        }
+    }
+    return events;
+}
+
+/**
+ * Per-iteration input gates: ready[g][j] releases iteration j on GPU g
+ * once barriers[j] has heard from all its parties — @p gpu_parties
+ * preprocessing completions, plus one party arriving at staged batch
+ * j's ready time when the run streams its input through @p ingest.
+ */
+struct InputGates
+{
+    InputGates(sim::Engine &engine, int gpus, int iterations,
+               int gpu_parties, const std::optional<IngestPhase> &ingest)
+        : ready(makeGpuEvents("input", gpus, iterations))
+    {
+        for (int j = 0; j < iterations; ++j) {
+            barriers.push_back(std::make_unique<InputBarrier>(
+                engine, gpu_parties + (ingest ? 1 : 0)));
+        }
+        for (const auto &per_gpu : ready) {
+            for (std::size_t j = 0; j < barriers.size(); ++j)
+                barriers[j]->addTarget(per_gpu[j]);
+        }
+        for (std::size_t j = 0; ingest && j < barriers.size(); ++j) {
+            auto *barrier = barriers[j].get();
+            engine.schedule(ingest->readyAt[j],
+                            [barrier] { barrier->arrive(); });
+        }
+    }
+
+    // Trainer input gates hold the address of `ready`.
+    InputGates(const InputGates &) = delete;
+    InputGates &operator=(const InputGates &) = delete;
+
+    GpuEvents ready;
+    std::vector<std::unique_ptr<InputBarrier>> barriers;
+};
+
+/**
+ * The skeleton every system path shares. Construction builds the
+ * simulated node, runs the streaming-ingest pre-pass (when
+ * configured) and places the trainer. A path then gates the trainer's
+ * iterations on its inputs (start), adds its own preprocessing
+ * streams, drains the simulation, and hands its system-specific report
+ * fields to finish().
+ */
+struct SimulatedRun
+{
+    SimulatedRun(const SystemConfig &run_config,
+                 const preproc::PreprocPlan &plan)
+        : config(run_config), node(config), ingest(runIngestPhase(config)),
+          model(modelConfigFor(config, plan)),
+          sharding(makeSharding(config, plan)),
+          driver(node.cluster, model, sharding)
+    {
+    }
+
+    /**
+     * Gate iteration j on GPU g on (*ready)[g][j] (ungated when null),
+     * arm calibration checkpoints, and push every iteration. @p ready
+     * must outlive the simulation.
+     */
+    void
+    start(const GpuEvents *ready)
+    {
+        if (ready != nullptr) {
+            driver.setInputGate([ready](int g, int i) {
+                return (*ready)[static_cast<std::size_t>(g)][
+                    static_cast<std::size_t>(i)];
+            });
+        }
+        checkpointing = armCheckpoints(config, model, sharding, driver);
+        driver.pushIterations(config.iterations);
+    }
+
+    /** Drain the simulation and fix the steady-state window. */
+    void
+    simulate()
+    {
+        node.cluster.run();
+        windowStart = driver.iterationSpan(0, config.warmup).start;
+        windowEnd = driver.iterationSpan(0, config.iterations - 1).end;
+    }
+
+    /**
+     * Effective iteration interval over the steady-state window (the
+     * pipeline is input-bound when supply trails demand). Calibration
+     * checkpoint drains inside the window (slowest GPU per drain) are
+     * subtracted, so it stays the checkpoint-free interval: the
+     * recovery composition adds checkpoint cost back explicitly at its
+     * own cadence.
+     */
+    Seconds
+    steadyInterval() const
+    {
+        Seconds ckpt_window = 0.0;
+        for (int j = config.warmup; j < config.iterations - 1; ++j) {
+            Seconds worst = 0.0;
+            for (int g = 0; g < config.gpuCount; ++g) {
+                const auto &span = driver.checkpointSpan(g, j);
+                if (span.valid())
+                    worst = std::max(worst, span.duration());
+            }
+            ckpt_window += worst;
+        }
+        return (windowEnd - windowStart - ckpt_window) /
+               static_cast<double>(config.iterations - config.warmup);
+    }
+
+    /**
+     * Complete @p report (its avgIterationLatency and system-specific
+     * fields already set) with what every path reports alike — header,
+     * throughput, utilisation over the steady-state window, makespan,
+     * fault, recovery and ingest stats — then record the per-iteration
+     * metrics (exposed latency against @p predicted, when given) and
+     * dump the Chrome trace when the config asked for one.
+     */
+    RunReport
+    finish(RunReport report, const std::vector<Seconds> *predicted = nullptr)
+    {
+        auto &cluster = node.cluster;
+        report.system = systemName(config.system);
+        report.gpuCount = config.gpuCount;
+        report.batchPerGpu = config.batchPerGpu;
+        report.throughput = static_cast<double>(config.batchPerGpu) *
+                            config.gpuCount / report.avgIterationLatency;
+        RunningStat sm, bw, busy;
+        for (int g = 0; g < cluster.gpuCount(); ++g) {
+            auto &device = cluster.device(g);
+            sm.add(device.trace().avgSmUsage(windowStart, windowEnd));
+            bw.add(device.trace().avgBwUsage(windowStart, windowEnd));
+            busy.add(device.trace().busyFraction(windowStart, windowEnd));
+            report.p2pBytes += device.p2pLink().totalBytes();
+            report.kernelRetries += device.kernelRetries();
+            report.retryBackoffSeconds += device.retryBackoffSeconds();
+        }
+        report.avgSmUtil = sm.mean();
+        report.avgBwUtil = bw.mean();
+        report.avgGpuBusy = busy.mean();
+        report.makespan = cluster.engine().now();
+        applyRecovery(config, report, report.avgIterationLatency,
+                      checkpointing ? driver.avgCheckpointCost() : 0.0,
+                      node.crashTimes);
+        if (ingest) {
+            report.ingestEvents = ingest->report.events;
+            report.ingestDropped = ingest->report.dropped;
+            report.ingestSpilled = ingest->report.spilled;
+            report.ingestBatches = ingest->report.batches;
+            report.ingestStagingP99 = ingest->report.p99;
+            report.ingestLastReadyAt = ingest->readyAt[
+                static_cast<std::size_t>(config.iterations) - 1];
+        }
+        recordIterationMetrics(config, cluster, driver, predicted);
+        if (!config.tracePath.empty()) {
+            sim::TraceExportOptions options;
+            // Recorded spans (planner phases, per-iteration sim spans)
+            // render into the trace alongside the kernel tracks.
+            options.spans = config.metrics;
+            sim::writeChromeTrace(cluster, config.tracePath, options);
+        }
+        return report;
+    }
+
+    const SystemConfig &config;
+    SimNode node;
+    std::optional<IngestPhase> ingest;
+    dlrm::DlrmConfig model;
+    dlrm::EmbeddingSharding sharding;
+    dlrm::TrainingDriver driver;
+    bool checkpointing = false;
+    /** GPU 0's steady-state window: warmup start to last end. */
+    Seconds windowStart = 0.0;
+    Seconds windowEnd = 0.0;
+};
+
 } // namespace
 
 std::string
@@ -511,27 +618,16 @@ systemName(System system)
     RAP_PANIC("unknown system");
 }
 
-OnlineTrainer::OnlineTrainer(SystemConfig config,
-                             const preproc::PreprocPlan &plan)
-    : config_(std::move(config)), plan_(plan)
-{
-    requireValid(config_);
-}
+namespace {
 
-RunReport
-runSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
-{
-    OnlineTrainer trainer(config, plan);
-    return trainer.run();
-}
-
+/** planOffline's body, for a configuration already validated. */
 OfflinePlan
-planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
-            ThreadPool *pool)
+planValidated(const SystemConfig &config, const preproc::PreprocPlan &plan,
+              ThreadPool *pool)
 {
-    requireValid(config);
     obs::MetricRegistry *metrics = config.metrics;
-    obs::Span plan_span(metrics, "plan.offline", runLabels(config));
+    const auto labels = runLabels(config);
+    obs::Span plan_span(metrics, "plan.offline", labels);
 
     const auto traits = traitsFor(config.system);
     const auto cluster_spec = clusterSpecFor(config);
@@ -540,7 +636,7 @@ planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
 
     OfflinePlan offline;
     {
-        obs::Span span(metrics, "plan.profile", runLabels(config));
+        obs::Span span(metrics, "plan.profile", labels);
         OverlappingCapacityEstimator estimator(cluster_spec,
                                                dlrm_config, sharding);
         offline.profiles = estimator.profileAll();
@@ -568,7 +664,7 @@ planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
         config.forcedMapping.value_or(traits.mapping);
     MappingSearchStats mapping_stats;
     {
-        obs::Span span(metrics, "plan.mapping", runLabels(config));
+        obs::Span span(metrics, "plan.mapping", labels);
         offline.mapping =
             strategy == MappingStrategy::Rap
                 ? mapper.mapRap(offline.profiles, planner,
@@ -602,7 +698,7 @@ planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
         }
     };
     {
-        obs::Span span(metrics, "plan.schedule", runLabels(config));
+        obs::Span span(metrics, "plan.schedule", labels);
         if (pool != nullptr)
             pool->parallelFor(gpu_count, planGpu);
         else
@@ -611,416 +707,217 @@ planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
     }
 
     if (metrics != nullptr) {
-        metrics->counter("plan.milp.nodes_explored", runLabels(config))
+        metrics->counter("plan.milp.nodes_explored", labels)
             .inc(planner.milpNodesExplored());
-        metrics
-            ->counter("plan.mapping.moves_accepted", runLabels(config))
-            .inc(static_cast<std::uint64_t>(
-                mapping_stats.movesAccepted));
-        metrics
-            ->counter("plan.mapping.moves_evaluated",
-                      runLabels(config))
-            .inc(static_cast<std::uint64_t>(
-                mapping_stats.movesEvaluated));
-        metrics->counter("plan.mapping.pricings", runLabels(config))
+        metrics->counter("plan.mapping.moves_accepted", labels)
+            .inc(static_cast<std::uint64_t>(mapping_stats.movesAccepted));
+        metrics->counter("plan.mapping.moves_evaluated", labels)
+            .inc(static_cast<std::uint64_t>(mapping_stats.movesEvaluated));
+        metrics->counter("plan.mapping.pricings", labels)
             .inc(mapping_stats.pricings);
     }
     return offline;
 }
 
-RunReport
-OnlineTrainer::run()
+/**
+ * Hybrid extension (§10): kernels whose latency exceeds the GPUs'
+ * total overlapping capacity (the scheduler's overflow set) are
+ * segmented off to host CPU workers, member by member, until each
+ * GPU's budget of @p hybrid_cores host cores is spent.
+ * @return Per-GPU core-seconds of preprocessing moved to the CPU.
+ */
+std::vector<Seconds>
+offloadOverflowToCpu(OfflinePlan &offline,
+                     const HorizontalFusionPlanner &planner,
+                     int hybrid_cores)
 {
-    switch (config_.system) {
-      case System::Ideal:
-        return runIdeal();
-      case System::TorchArrowCpu:
-        return runTorchArrow();
-      default:
-        return runGpuSystem();
+    std::vector<Seconds> cpu_part_core_seconds(offline.schedules.size(),
+                                               0.0);
+    for (std::size_t g = 0; g < offline.schedules.size(); ++g) {
+        auto &schedule = offline.schedules[g];
+        // The CPU pipeline must itself keep up with the trainer:
+        // offload only what this GPU's share of the host cores can
+        // chew through within one iteration interval.
+        const Seconds budget =
+            offline.profiles[g].iterationLatency * 0.9 * hybrid_cores;
+        auto &cpu_part = cpu_part_core_seconds[g];
+        std::vector<ScheduledKernel> kept;
+        for (auto &sk : schedule.kernels) {
+            if (!sk.overflow) {
+                kept.push_back(std::move(sk));
+                continue;
+            }
+            // Offload members individually until the CPU budget is
+            // spent; the rest stays on the GPU.
+            std::vector<int> keep_ids;
+            std::vector<preproc::OpShape> keep_shapes;
+            for (std::size_t m = 0; m < sk.kernel.nodeIds.size(); ++m) {
+                const Seconds member_cpu = preproc::opCpuSecondsOptimized(
+                    sk.kernel.type, sk.kernel.memberShapes[m]);
+                if (cpu_part + member_cpu <= budget) {
+                    cpu_part += member_cpu;
+                } else {
+                    keep_ids.push_back(sk.kernel.nodeIds[m]);
+                    keep_shapes.push_back(sk.kernel.memberShapes[m]);
+                }
+            }
+            const Seconds before = sk.kernel.predictedLatency;
+            const Seconds launch = planner.spec().kernelLaunchOverhead;
+            if (keep_ids.empty()) {
+                // A fully offloaded kernel also gives back its launch
+                // overhead (both totals charge one launch per kernel).
+                schedule.totalPreprocLatency -= before + launch;
+                schedule.estimatedExposed -= before + launch;
+                continue; // whole kernel offloaded
+            }
+            if (keep_ids.size() < sk.kernel.nodeIds.size()) {
+                sk.kernel = planner.materialise(
+                    sk.kernel.type, std::move(keep_ids),
+                    std::move(keep_shapes), sk.kernel.step);
+                schedule.totalPreprocLatency -=
+                    before - sk.kernel.predictedLatency;
+                schedule.estimatedExposed -=
+                    before - sk.kernel.predictedLatency;
+            }
+            kept.push_back(std::move(sk));
+        }
+        schedule.kernels = std::move(kept);
+        if (schedule.estimatedExposed < 0.0)
+            schedule.estimatedExposed = 0.0;
     }
+    return cpu_part_core_seconds;
 }
 
 RunReport
-OnlineTrainer::runIdeal()
+runIdeal(const SystemConfig &config, const preproc::PreprocPlan &plan)
 {
-    const auto cluster_spec = clusterSpecFor(config_);
-    const auto config = modelConfigFor(config_, plan_);
-    const auto sharding = makeSharding(config_, plan_);
-
-    sim::Cluster cluster(cluster_spec, config_.gpuSubset);
-    applyEnvelopes(cluster, config_);
-    applyEngineJobs(cluster, config_);
-    std::optional<sim::FaultInjector> injector;
-    std::vector<Seconds> crash_times;
-    if (config_.faults) {
-        crash_times = config_.faults->failStopTimes();
-        injector.emplace(config_.faults->degradationOnly());
-        injector->arm(cluster);
-    }
-    const auto ingest_phase = runIngestPhase(config_);
-    dlrm::TrainingDriver driver(cluster, config, sharding);
-
+    SimulatedRun run(config, plan);
     // Streaming ingest gates even the ideal system: iteration j's
     // input event fires when staged batch j is ready, so an
     // input-bound stream stretches the otherwise compute-bound run.
-    std::vector<std::vector<sim::SimEventPtr>> ready;
-    std::vector<std::unique_ptr<InputBarrier>> input_barriers;
-    if (ingest_phase) {
-        auto &engine = cluster.engine();
-        const int n = config_.iterations;
-        const int gpus = config_.gpuCount;
-        ready.resize(static_cast<std::size_t>(gpus));
-        for (int j = 0; j < n; ++j) {
-            input_barriers.push_back(
-                std::make_unique<InputBarrier>(engine, 1));
-        }
-        for (int g = 0; g < gpus; ++g) {
-            for (int j = 0; j < n; ++j) {
-                auto event = sim::makeEvent(
-                    "input.g" + std::to_string(g) + "." +
-                    std::to_string(j));
-                input_barriers[static_cast<std::size_t>(j)]
-                    ->addTarget(event);
-                ready[static_cast<std::size_t>(g)].push_back(
-                    std::move(event));
-            }
-        }
-        driver.setInputGate([&ready](int g, int i) {
-            return ready[static_cast<std::size_t>(g)][
-                static_cast<std::size_t>(i)];
-        });
-        for (int j = 0; j < n; ++j) {
-            auto *barrier =
-                input_barriers[static_cast<std::size_t>(j)].get();
-            engine.schedule(
-                ingest_phase->readyAt[static_cast<std::size_t>(j)],
-                [barrier] { barrier->arrive(); });
-        }
+    std::optional<InputGates> gates;
+    if (run.ingest) {
+        gates.emplace(run.node.cluster.engine(), config.gpuCount,
+                      config.iterations, /*gpu_parties=*/0, run.ingest);
     }
-
-    const bool checkpointing =
-        armCheckpoints(config_, config, sharding, driver);
-    driver.pushIterations(config_.iterations);
-    cluster.run();
+    run.start(gates ? &gates->ready : nullptr);
+    run.simulate();
 
     RunReport report;
-    report.system = systemName(config_.system);
-    report.gpuCount = config_.gpuCount;
-    report.batchPerGpu = config_.batchPerGpu;
     report.avgIterationLatency =
-        driver.avgIterationLatency(config_.warmup);
-    report.throughput = static_cast<double>(config_.batchPerGpu) *
-                        config_.gpuCount / report.avgIterationLatency;
-    const Seconds t0 =
-        driver.iterationSpan(0, config_.warmup).start;
-    const Seconds t1 =
-        driver.iterationSpan(0, config_.iterations - 1).end;
-    fillUtilisation(report, cluster, t0, t1);
-    report.makespan = cluster.engine().now();
-    fillFaultStats(report, cluster);
-    applyRecovery(config_, report, report.avgIterationLatency,
-                  checkpointing ? driver.avgCheckpointCost() : 0.0,
-                  crash_times);
-    if (ingest_phase)
-        fillIngestStats(report, *ingest_phase, config_.iterations);
-    recordIterationMetrics(config_, cluster, driver);
-    maybeWriteTrace(cluster, config_);
-    return report;
+        run.driver.avgIterationLatency(config.warmup);
+    return run.finish(std::move(report));
 }
 
 RunReport
-OnlineTrainer::runTorchArrow()
+runTorchArrow(const SystemConfig &config, const preproc::PreprocPlan &plan)
 {
-    const auto cluster_spec = clusterSpecFor(config_);
-    const auto config = modelConfigFor(config_, plan_);
-    const auto sharding = makeSharding(config_, plan_);
-
     // Host cost of preprocessing one batch (all features).
     Seconds batch_core_seconds = 0.0;
-    for (const auto &node : plan_.graph.nodes()) {
+    for (const auto &node : plan.graph.nodes()) {
         batch_core_seconds += preproc::opCpuSeconds(
-            node.type, preproc::nodeShape(node, plan_.schema,
-                                          config_.batchPerGpu));
+            node.type,
+            preproc::nodeShape(node, plan.schema, config.batchPerGpu));
     }
     Bytes batch_out_bytes = 0.0;
-    for (int f : plan_.graph.featureIds()) {
-        const auto nodes = plan_.graph.featureNodes(f);
-        const auto &tail = plan_.graph.node(nodes.back());
+    for (int f : plan.graph.featureIds()) {
+        const auto nodes = plan.graph.featureNodes(f);
+        const auto &tail = plan.graph.node(nodes.back());
         batch_out_bytes += preproc::opOutputBytes(
-            tail.type, preproc::nodeShape(tail, plan_.schema,
-                                          config_.batchPerGpu));
+            tail.type,
+            preproc::nodeShape(tail, plan.schema, config.batchPerGpu));
     }
 
-    sim::Cluster cluster(cluster_spec, config_.gpuSubset);
-    applyEnvelopes(cluster, config_);
-    applyEngineJobs(cluster, config_);
-    auto &engine = cluster.engine();
-    std::optional<sim::FaultInjector> injector;
-    std::vector<Seconds> crash_times;
-    if (config_.faults) {
-        crash_times = config_.faults->failStopTimes();
-        injector.emplace(config_.faults->degradationOnly());
-        injector->arm(cluster);
-    }
-    const int n = config_.iterations;
-    const int gpus = config_.gpuCount;
-    const int workers = config_.torchArrowWorkersPerGpu;
-    const int cores = config_.coresPerWorker;
+    SimulatedRun run(config, plan);
+    auto &cluster = run.node.cluster;
+    const int n = config.iterations;
+    const int gpus = config.gpuCount;
+    const int workers = config.torchArrowWorkersPerGpu;
+    const int cores = config.coresPerWorker;
     const Seconds task_duration =
         batch_core_seconds / static_cast<double>(cores);
 
     // Input-ready events gate the trainer.
-    std::vector<std::vector<sim::SimEventPtr>> ready(
-        static_cast<std::size_t>(gpus));
-    for (int g = 0; g < gpus; ++g) {
-        for (int j = 0; j < n; ++j) {
-            ready[static_cast<std::size_t>(g)].push_back(
-                sim::makeEvent("input.g" + std::to_string(g) + "." +
-                               std::to_string(j)));
-        }
-    }
-
-    dlrm::TrainingDriver driver(cluster, config, sharding);
-    driver.setInputGate([&](int g, int i) {
-        return ready[static_cast<std::size_t>(g)][
-            static_cast<std::size_t>(i)];
-    });
-    const bool checkpointing =
-        armCheckpoints(config_, config, sharding, driver);
-    driver.pushIterations(n);
+    const auto ready = makeGpuEvents("input", gpus, n);
+    const auto cpu_done = makeGpuEvents("cpu", gpus, n);
+    run.start(&ready);
 
     // Worker pipelines: worker w of GPU g preprocesses batches
     // j === w (mod workers), then the batch crosses PCIe.
     for (int g = 0; g < gpus; ++g) {
+        const auto gi = static_cast<std::size_t>(g);
         auto &copy_stream = cluster.device(g).newStream(
             "gpu" + std::to_string(g) + ".h2d_queue");
-        std::vector<sim::SimEventPtr> cpu_done(
-            static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-            cpu_done[static_cast<std::size_t>(j)] = sim::makeEvent(
-                "cpu.g" + std::to_string(g) + "." + std::to_string(j));
-        }
         for (int w = 0; w < workers; ++w) {
             auto &worker_stream = cluster.host().newStream(
                 "ta.g" + std::to_string(g) + ".w" + std::to_string(w));
             for (int j = w; j < n; j += workers) {
                 worker_stream.pushCpuTask(task_duration, cores);
                 worker_stream.pushRecord(
-                    cpu_done[static_cast<std::size_t>(j)]);
+                    cpu_done[gi][static_cast<std::size_t>(j)]);
             }
         }
-        for (int j = 0; j < n; ++j) {
-            copy_stream.pushWait(cpu_done[static_cast<std::size_t>(j)]);
+        for (std::size_t j = 0; j < ready[gi].size(); ++j) {
+            copy_stream.pushWait(cpu_done[gi][j]);
             copy_stream.pushCopy(sim::CopyKind::HostToDevice,
                                  batch_out_bytes);
-            copy_stream.pushRecord(
-                ready[static_cast<std::size_t>(g)][
-                    static_cast<std::size_t>(j)]);
+            copy_stream.pushRecord(ready[gi][j]);
         }
     }
-
-    cluster.run();
-    (void)engine;
+    run.simulate();
 
     RunReport report;
-    report.system = systemName(config_.system);
-    report.gpuCount = gpus;
-    report.batchPerGpu = config_.batchPerGpu;
-    // The pipeline is input-bound when CPU supply trails demand; the
-    // effective iteration interval is end-to-end makespan / iterations.
-    const Seconds span_start = driver.iterationSpan(0, config_.warmup)
-                                   .start;
-    const Seconds span_end =
-        driver.iterationSpan(0, n - 1).end;
-    const double steady_iters =
-        static_cast<double>(n - config_.warmup);
-    const Seconds ckpt_window = checkpointSecondsInWindow(
-        driver, gpus, config_.warmup, n - 1);
-    const Seconds interval =
-        (span_end - span_start - ckpt_window) / steady_iters;
-    report.avgIterationLatency = interval;
-    report.throughput = static_cast<double>(config_.batchPerGpu) *
-                        gpus / interval;
+    report.avgIterationLatency = run.steadyInterval();
     report.preprocLatencyPerIter = batch_core_seconds;
-    fillUtilisation(report, cluster, span_start, span_end);
-    report.makespan = engine.now();
-    fillFaultStats(report, cluster);
-    applyRecovery(config_, report, report.avgIterationLatency,
-                  checkpointing ? driver.avgCheckpointCost() : 0.0,
-                  crash_times);
-    recordIterationMetrics(config_, cluster, driver);
-    maybeWriteTrace(cluster, config_);
-    return report;
+    return run.finish(std::move(report));
 }
 
 RunReport
-OnlineTrainer::runGpuSystem()
+runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
 {
-    const auto traits = traitsFor(config_.system);
-    const auto cluster_spec = clusterSpecFor(config_);
-    const auto config = modelConfigFor(config_, plan_);
-    const auto sharding = makeSharding(config_, plan_);
+    const auto traits = traitsFor(config.system);
+    const auto cluster_spec = clusterSpecFor(config);
 
     // ---- Offline phase: capacity profiles + plan search, fanned out
     // over the planning pool (serial when planningThreads == 1). ----
     std::unique_ptr<ThreadPool> pool;
-    if (config_.planningThreads != 1)
-        pool = std::make_unique<ThreadPool>(config_.planningThreads);
-    OfflinePlan offline = planOffline(config_, plan_, pool.get());
+    if (config.planningThreads != 1)
+        pool = std::make_unique<ThreadPool>(config.planningThreads);
+    OfflinePlan offline = planValidated(config, plan, pool.get());
     const auto &profiles = offline.profiles;
     auto &mapping = offline.mapping; // replaced on a mapping replan
     auto &schedules = offline.schedules;
 
     FusionOptions fusion_options;
-    fusion_options.solver = config_.solver;
+    fusion_options.solver = config.solver;
     fusion_options.enableFusion = traits.fusion;
-    HorizontalFusionPlanner planner(cluster_spec.gpu, config_.predictor,
+    HorizontalFusionPlanner planner(cluster_spec.gpu, config.predictor,
                                     fusion_options);
-    GraphMapper mapper(plan_, sharding, cluster_spec,
-                       config_.batchPerGpu);
 
-    // ---- Hybrid extension (§10): kernels whose latency exceeds the
-    // GPUs' total overlapping capacity (the scheduler's overflow set)
-    // are segmented off to host CPU workers. ----
-    std::vector<Seconds> cpu_part_core_seconds(
-        static_cast<std::size_t>(config_.gpuCount), 0.0);
     const int hybrid_cores = std::max(
-        1, std::min(config_.torchArrowWorkersPerGpu *
-                        config_.coresPerWorker,
-                    cluster_spec.cpuCores / config_.gpuCount));
-    if (config_.system == System::HybridRap) {
-        for (int g = 0; g < config_.gpuCount; ++g) {
-            auto &schedule = schedules[static_cast<std::size_t>(g)];
-            // The CPU pipeline must itself keep up with the trainer:
-            // offload only what this GPU's share of the host cores can
-            // chew through within one iteration interval.
-            const Seconds budget =
-                profiles[static_cast<std::size_t>(g)]
-                    .iterationLatency *
-                0.9 * hybrid_cores;
-            auto &cpu_part =
-                cpu_part_core_seconds[static_cast<std::size_t>(g)];
-            std::vector<ScheduledKernel> kept;
-            for (auto &sk : schedule.kernels) {
-                if (!sk.overflow) {
-                    kept.push_back(std::move(sk));
-                    continue;
-                }
-                // Offload members individually until the CPU budget
-                // is spent; the rest stays on the GPU.
-                std::vector<int> keep_ids;
-                std::vector<preproc::OpShape> keep_shapes;
-                Seconds gpu_kept_fraction = 0.0;
-                for (std::size_t m = 0; m < sk.kernel.nodeIds.size();
-                     ++m) {
-                    const Seconds member_cpu = preproc::opCpuSecondsOptimized(
-                        sk.kernel.type, sk.kernel.memberShapes[m]);
-                    if (cpu_part + member_cpu <= budget) {
-                        cpu_part += member_cpu;
-                    } else {
-                        keep_ids.push_back(sk.kernel.nodeIds[m]);
-                        keep_shapes.push_back(
-                            sk.kernel.memberShapes[m]);
-                    }
-                }
-                const Seconds before = sk.kernel.predictedLatency;
-                const Seconds launch =
-                    planner.spec().kernelLaunchOverhead;
-                if (keep_ids.empty()) {
-                    // A fully offloaded kernel also gives back its
-                    // launch overhead (both totals charge one launch
-                    // per kernel).
-                    schedule.totalPreprocLatency -= before + launch;
-                    schedule.estimatedExposed -= before + launch;
-                    continue; // whole kernel offloaded
-                }
-                if (keep_ids.size() < sk.kernel.nodeIds.size()) {
-                    sk.kernel = planner.materialise(
-                        sk.kernel.type, std::move(keep_ids),
-                        std::move(keep_shapes), sk.kernel.step);
-                    schedule.totalPreprocLatency -=
-                        before - sk.kernel.predictedLatency;
-                    schedule.estimatedExposed -=
-                        before - sk.kernel.predictedLatency;
-                }
-                (void)gpu_kept_fraction;
-                kept.push_back(std::move(sk));
-            }
-            schedule.kernels = std::move(kept);
-            if (schedule.estimatedExposed < 0.0)
-                schedule.estimatedExposed = 0.0;
-        }
-    }
+        1, std::min(config.torchArrowWorkersPerGpu * config.coresPerWorker,
+                    cluster_spec.cpuCores / config.gpuCount));
+    const std::vector<Seconds> cpu_part_core_seconds =
+        config.system == System::HybridRap
+            ? offloadOverflowToCpu(offline, planner, hybrid_cores)
+            : std::vector<Seconds>(
+                  static_cast<std::size_t>(config.gpuCount), 0.0);
 
     // ---- Online phase: co-running execution. ----
-    sim::Cluster cluster(cluster_spec, config_.gpuSubset);
-    applyEnvelopes(cluster, config_);
-    applyEngineJobs(cluster, config_);
+    SimulatedRun run(config, plan);
+    auto &cluster = run.node.cluster;
     auto &engine = cluster.engine();
-    const int n = config_.iterations;
-    const int gpus = config_.gpuCount;
+    auto &driver = run.driver;
+    const int n = config.iterations;
+    const int gpus = config.gpuCount;
+    obs::MetricRegistry *metrics = config.metrics;
+    const auto labels = runLabels(config);
+    GraphMapper mapper(plan, run.sharding, cluster_spec, config.batchPerGpu);
 
-    // Streaming ingest pre-pass: the stream is staged on the same
-    // virtual clock, and iteration j's input barrier gains one extra
-    // party that arrives at staged batch j's ready time.
-    const auto ingest_phase = runIngestPhase(config_);
-
-    // Optional seeded fault scenario: degraded SM/HBM envelopes, slow
-    // links, transient kernel-launch failures (sim/fault.hpp).
-    // Fail-stop events are split off: the DES measures the
-    // checkpoint-free steady state on live devices, and the
-    // crash/restore timeline is composed analytically afterwards
-    // (applyRecovery) — realistic MTBFs dwarf the simulated horizon.
-    std::optional<sim::FaultInjector> injector;
-    std::vector<Seconds> crash_times;
-    if (config_.faults) {
-        crash_times = config_.faults->failStopTimes();
-        injector.emplace(config_.faults->degradationOnly());
-        injector->arm(cluster);
-    }
-
-    std::vector<std::vector<sim::SimEventPtr>> ready(
-        static_cast<std::size_t>(gpus));
-    std::vector<std::unique_ptr<InputBarrier>> barriers;
-    for (int j = 0; j < n; ++j) {
-        barriers.push_back(std::make_unique<InputBarrier>(
-            engine, gpus + (ingest_phase ? 1 : 0)));
-    }
-    for (int g = 0; g < gpus; ++g) {
-        for (int j = 0; j < n; ++j) {
-            auto event = sim::makeEvent(
-                "input.g" + std::to_string(g) + "." +
-                std::to_string(j));
-            barriers[static_cast<std::size_t>(j)]->addTarget(event);
-            ready[static_cast<std::size_t>(g)].push_back(
-                std::move(event));
-        }
-    }
-    if (ingest_phase) {
-        for (int j = 0; j < n; ++j) {
-            auto *barrier =
-                barriers[static_cast<std::size_t>(j)].get();
-            engine.schedule(
-                ingest_phase->readyAt[static_cast<std::size_t>(j)],
-                [barrier] { barrier->arrive(); });
-        }
-    }
-
-    dlrm::TrainingDriver driver(cluster, config, sharding,
-                                /*launch_group=*/0);
-    driver.setInputGate([&](int g, int i) {
-        return ready[static_cast<std::size_t>(g)][
-            static_cast<std::size_t>(i)];
-    });
-    const bool checkpointing =
-        armCheckpoints(config_, config, sharding, driver);
-    driver.pushIterations(n);
-
-    std::vector<sim::Stream *> hybrid_streams(
-        static_cast<std::size_t>(gpus), nullptr);
-    std::vector<std::vector<std::unique_ptr<InputBarrier>>> joins(
-        static_cast<std::size_t>(gpus));
+    // Iteration j's input barrier waits for every GPU's batch j (plus
+    // staged batch j under streaming ingest).
+    InputGates gates(engine, gpus, n, /*gpu_parties=*/gpus, run.ingest);
+    run.start(&gates.ready);
 
     // Per-GPU streams persist across batches: batch work is pushed
     // incrementally (kPushAhead batches deep) so an online replan can
@@ -1030,6 +927,9 @@ OnlineTrainer::runGpuSystem()
         sim::Stream *prep = nullptr;
         sim::Stream *copy = nullptr;
         sim::Stream *pre = nullptr;
+        /** Hybrid only: the CPU segment's worker and batch joins. */
+        sim::Stream *hybrid = nullptr;
+        std::vector<std::unique_ptr<InputBarrier>> joins;
     };
     std::vector<GpuLane> lanes(static_cast<std::size_t>(gpus));
     for (int g = 0; g < gpus; ++g) {
@@ -1091,7 +991,7 @@ OnlineTrainer::runGpuSystem()
         // iteration early (§6.3); without it, preparation waits
         // for the iteration the kernels will co-run with.
         const int prep_gate_iter =
-            config_.interleave && traits.capacityScheduling ? j - 2
+            config.interleave && traits.capacityScheduling ? j - 2
                                                             : j - 1;
         if (prep_gate_iter >= 0 && !traits.sequential)
             prep_stream.pushWait(driver.opStart(g, prep_gate_iter, 0));
@@ -1141,16 +1041,17 @@ OnlineTrainer::runGpuSystem()
         } else {
             pre_stream.pushRecord(batch_done);
         }
-        auto *barrier = barriers[static_cast<std::size_t>(j)].get();
+        auto *barrier = gates.barriers[static_cast<std::size_t>(j)].get();
         const Seconds cpu_part = cpu_part_core_seconds[gi];
         if (cpu_part > 0.0) {
             // Hybrid: the CPU segment runs on a dedicated worker
             // pipeline; batch readiness joins both halves.
-            if (hybrid_streams[gi] == nullptr) {
-                hybrid_streams[gi] = &cluster.host().newStream(
+            auto &lane = lanes[gi];
+            if (lane.hybrid == nullptr) {
+                lane.hybrid = &cluster.host().newStream(
                     "hybrid.g" + std::to_string(g));
             }
-            auto &worker = *hybrid_streams[gi];
+            auto &worker = *lane.hybrid;
             auto hybrid_cpu_done = sim::makeEvent(
                 "hybridcpu.g" + std::to_string(g) + "." +
                 std::to_string(j));
@@ -1159,11 +1060,8 @@ OnlineTrainer::runGpuSystem()
                 worker.pushWait(driver.opStart(g, gate_iter, 0));
             worker.pushCpuTask(cpu_part / hybrid_cores, hybrid_cores);
             worker.pushRecord(hybrid_cpu_done);
-            auto *join =
-                joins[gi]
-                    .emplace_back(
-                        std::make_unique<InputBarrier>(engine, 2))
-                    .get();
+            lane.joins.push_back(std::make_unique<InputBarrier>(engine, 2));
+            auto *join = lane.joins.back().get();
             // The joint completion reports to the global barrier.
             auto joined = sim::makeEvent(
                 "hybridjoin.g" + std::to_string(g) + "." +
@@ -1182,21 +1080,19 @@ OnlineTrainer::runGpuSystem()
 
     // ---- Online monitor: drift detection + incremental replanning
     // (fault-tolerance extension; see DESIGN.md). ----
-    const bool replan_enabled = config_.replanOnDrift &&
+    const bool replan_enabled = config.replanOnDrift &&
                                 traits.capacityScheduling &&
-                                config_.system != System::HybridRap;
-    std::vector<Seconds> predicted(static_cast<std::size_t>(gpus), 0.0);
-    for (int g = 0; g < gpus; ++g)
-        predicted[static_cast<std::size_t>(g)] =
-            profiles[static_cast<std::size_t>(g)].iterationLatency;
+                                config.system != System::HybridRap;
+    std::vector<Seconds> predicted;
+    for (const auto &profile : profiles)
+        predicted.push_back(profile.iterationLatency);
     int replans = 0;
     int last_replan_iter = -1;
     constexpr int kPushAhead = 3;
     constexpr int kReplanCooldown = 3;
 
     auto replan = [&](const std::vector<Seconds> &observed) {
-        obs::Span replan_span(config_.metrics, "train.replan",
-                              runLabels(config_));
+        obs::Span replan_span(metrics, "train.replan", labels);
         replan_span.annotateSim(engine.now(), engine.now());
         // Re-derive every GPU's capacity profile from its current
         // (possibly degraded) resource envelopes and reschedule the
@@ -1211,15 +1107,15 @@ OnlineTrainer::runGpuSystem()
             // started from the envelope share); degrade only by the
             // capacity lost since, or a faulted envelope-shared run
             // would double-count its envelope.
-            const GpuEnvelope env = config_.envelopes.empty()
+            const GpuEnvelope env = config.envelopes.empty()
                                         ? GpuEnvelope{}
-                                        : config_.envelopes[gi];
+                                        : config.envelopes[gi];
             degraded[gi] = degradeProfile(
                 profiles[gi],
                 std::min(1.0, device.smCapacity() / env.sm),
                 std::min(1.0, device.bwCapacity() / env.bw));
         }
-        if (config_.replanMapping) {
+        if (config.replanMapping) {
             mapping = mapper.mapRap(degraded, planner, /*max_moves=*/64,
                                     pool.get());
         }
@@ -1228,7 +1124,7 @@ OnlineTrainer::runGpuSystem()
         auto rescheduleGpu = [&](std::size_t g) {
             auto kernels = planner.plan(
                 mapper.buildGpuGraph(mapping, static_cast<int>(g)),
-                config_.batchPerGpu);
+                config.batchPerGpu);
             schedules[g] =
                 scheduler.schedule(std::move(kernels), degraded[g]);
         };
@@ -1259,13 +1155,9 @@ OnlineTrainer::runGpuSystem()
         auto fired = sim::makeEvent("monitor." + std::to_string(j));
         tick->addTarget(fired);
         fired->addWaiter(engine, [&, j] {
-            if (config_.metrics != nullptr) {
-                config_.metrics
-                    ->counter("train.monitor.ticks",
-                              runLabels(config_))
-                    .inc();
-            }
-            if (replan_enabled && j >= config_.warmup &&
+            if (metrics != nullptr)
+                metrics->counter("train.monitor.ticks", labels).inc();
+            if (replan_enabled && j >= config.warmup &&
                 j >= last_replan_iter + kReplanCooldown) {
                 std::vector<Seconds> observed(
                     static_cast<std::size_t>(gpus), 0.0);
@@ -1296,12 +1188,9 @@ OnlineTrainer::runGpuSystem()
                             observed[gi] / predicted[gi] - 1.0);
                     }
                 }
-                if (config_.metrics != nullptr) {
-                    config_.metrics
-                        ->series("train.drift", runLabels(config_))
-                        .append(j, drift);
-                }
-                if (drift > config_.replanDriftThreshold) {
+                if (metrics != nullptr)
+                    metrics->series("train.drift", labels).append(j, drift);
+                if (drift > config.replanDriftThreshold) {
                     replan(observed);
                     last_replan_iter = j;
                 }
@@ -1323,29 +1212,10 @@ OnlineTrainer::runGpuSystem()
         for (int g = 0; g < gpus; ++g)
             pushBatch(g, j);
 
-    cluster.run();
+    run.simulate();
 
     RunReport report;
-    report.system = systemName(config_.system);
-    report.gpuCount = gpus;
-    report.batchPerGpu = config_.batchPerGpu;
-    const Seconds span_start =
-        driver.iterationSpan(0, config_.warmup).start;
-    const Seconds span_end = driver.iterationSpan(0, n - 1).end;
-    const double steady_iters =
-        static_cast<double>(n - config_.warmup);
-    // Calibration checkpoint drains inside the window are subtracted:
-    // avgIterationLatency stays the checkpoint-free iteration
-    // interval (the recovery composition adds checkpoint cost back
-    // explicitly at its own cadence).
-    const Seconds ckpt_window = checkpointSecondsInWindow(
-        driver, gpus, config_.warmup, n - 1);
-    report.avgIterationLatency =
-        (span_end - span_start - ckpt_window) / steady_iters;
-    report.throughput = static_cast<double>(config_.batchPerGpu) *
-                        gpus / report.avgIterationLatency;
-    fillUtilisation(report, cluster, span_start, span_end);
-
+    report.avgIterationLatency = run.steadyInterval();
     RunningStat launches, exposed, pre_lat;
     for (const auto &schedule : schedules) {
         launches.add(static_cast<double>(schedule.kernelCount()));
@@ -1355,26 +1225,38 @@ OnlineTrainer::runGpuSystem()
     report.preprocKernelsPerIter = launches.mean();
     report.predictedExposed = exposed.mean();
     report.preprocLatencyPerIter = pre_lat.mean();
-    report.makespan = engine.now();
     report.replans = replans;
-    fillFaultStats(report, cluster);
-    applyRecovery(config_, report, report.avgIterationLatency,
-                  checkpointing ? driver.avgCheckpointCost() : 0.0,
-                  crash_times);
-    if (ingest_phase)
-        fillIngestStats(report, *ingest_phase, n);
-    if (config_.metrics != nullptr) {
-        config_.metrics
-            ->counter("train.replans", runLabels(config_))
+    if (metrics != nullptr) {
+        metrics->counter("train.replans", labels)
             .inc(static_cast<std::uint64_t>(replans));
-        config_.metrics
-            ->counter("replan.milp.nodes_explored",
-                      runLabels(config_))
+        metrics->counter("replan.milp.nodes_explored", labels)
             .inc(planner.milpNodesExplored());
     }
-    recordIterationMetrics(config_, cluster, driver, &predicted);
-    maybeWriteTrace(cluster, config_);
-    return report;
+    return run.finish(std::move(report), &predicted);
+}
+
+} // namespace
+
+OfflinePlan
+planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
+            ThreadPool *pool)
+{
+    requireValid(config);
+    return planValidated(config, plan, pool);
+}
+
+RunReport
+runSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
+{
+    requireValid(config);
+    switch (config.system) {
+      case System::Ideal:
+        return runIdeal(config, plan);
+      case System::TorchArrowCpu:
+        return runTorchArrow(config, plan);
+      default:
+        return runGpuSystem(config, plan);
+    }
 }
 
 } // namespace rap::core

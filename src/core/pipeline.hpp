@@ -2,7 +2,7 @@
  * @file
  * End-to-end online DLRM training pipelines (paper §4, §8).
  *
- * OnlineTrainer assembles the full system — input preprocessing,
+ * runSystem assembles the full system — input preprocessing,
  * hybrid-parallel training, and the co-running machinery — on the
  * simulated node and measures end-to-end training throughput. Every
  * system the paper evaluates is available:
@@ -367,26 +367,12 @@ OfflinePlan planOffline(const SystemConfig &config,
                         ThreadPool *pool = nullptr);
 
 /**
- * Assembles and runs one configured system over one plan.
+ * Validate @p config (fatal, with every error listed, when invalid)
+ * and run the configured system over @p plan on the simulated node:
+ * input preprocessing, hybrid-parallel training and the co-running
+ * machinery, measured over the steady-state window. The one way to
+ * run a system.
  */
-class OnlineTrainer
-{
-  public:
-    OnlineTrainer(SystemConfig config, const preproc::PreprocPlan &plan);
-
-    /** Execute the simulation and return the measured report. */
-    RunReport run();
-
-  private:
-    RunReport runIdeal();
-    RunReport runTorchArrow();
-    RunReport runGpuSystem();
-
-    SystemConfig config_;
-    const preproc::PreprocPlan &plan_;
-};
-
-/** Convenience: construct and run in one call. */
 RunReport runSystem(const SystemConfig &config,
                     const preproc::PreprocPlan &plan);
 

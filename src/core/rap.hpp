@@ -19,7 +19,6 @@
 #include "core/latency_predictor.hpp"
 #include "core/mapping.hpp"
 #include "core/pipeline.hpp"
-#include "core/run_request.hpp"
 #include "data/criteo.hpp"
 #include "dlrm/trainer.hpp"
 #include "preproc/executor.hpp"

@@ -1,7 +1,7 @@
 /**
  * @file
  * RunReport serialization: toJson()/fromJson() round-trip exactly
- * under the core/serial.hpp JsonSerializable convention (schema token
+ * under the common/serial.hpp round-trip convention (schema token
  * "rap.run_report.v1") and are the single source of truth for report
  * artifacts (bench output, CI determinism diffs read these, never
  * scraped stdout).
@@ -10,7 +10,7 @@
 #include "core/pipeline.hpp"
 
 #include "common/log.hpp"
-#include "core/serial.hpp"
+#include "common/serial.hpp"
 
 namespace rap::core {
 
@@ -32,7 +32,7 @@ constexpr std::pair<System, const char *> kSystemIds[] = {
 };
 
 // The shared optional-field dialect: absent and null both read back
-// as "never measured" (core/serial.hpp).
+// as "never measured" (common/serial.hpp).
 using serial::getOptionalNumber;
 using serial::setOptionalNumber;
 

@@ -2,7 +2,7 @@
  * @file
  * Structured configuration validation: SystemConfig::validate() and
  * the fleet scheduler report problems as a list of (field, message)
- * errors instead of asserting, so callers — the RunRequest builder,
+ * errors instead of asserting, so callers — runSystem, FleetRequest,
  * bench flag parsing, fleet admission — can surface every problem at
  * once and decide whether to abort.
  */

@@ -112,7 +112,7 @@ struct Placement
     /** Resource slice granted on each (aligned with gpuIds). */
     std::vector<core::GpuEnvelope> envelopes;
 
-    /** JsonSerializable: the catalog's placement-decision record. */
+    /** JSON round trip: the catalog's placement-decision record. */
     Json toJson() const;
     static Placement fromJson(const Json &json);
 };
@@ -145,7 +145,7 @@ struct PlacementOptions
      */
     double demandScale = 0.60;
 
-    /** JsonSerializable: persisted in the catalog's genesis record. */
+    /** JSON round trip: persisted in the catalog's genesis record. */
     Json toJson() const;
     static PlacementOptions fromJson(const Json &json);
 };

@@ -197,16 +197,4 @@ resumeFleet(const ctrl::CatalogOptions &catalog_options,
     return resumeFleet(*catalog, pool);
 }
 
-FleetReport
-runFleet(std::vector<JobSpec> jobs, FleetOptions options,
-         ThreadPool *pool)
-{
-    // Deprecated thin shim kept for pre-redesign call sites: routes
-    // through the same validation as FleetRequest::run, so bad
-    // configurations fail with the full error list either way.
-    FleetRequest request(std::move(jobs));
-    request.options() = std::move(options);
-    return request.run(pool);
-}
-
 } // namespace rap::fleet

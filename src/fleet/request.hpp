@@ -2,8 +2,7 @@
  * @file
  * The validated fleet API: FleetRequest is a fluent builder over
  * FleetOptions that validates at run() time and returns structured
- * errors (core/validation.hpp) instead of asserting mid-run — the
- * fleet-level twin of core::RunRequest.
+ * errors (core/validation.hpp) instead of asserting mid-run.
  *
  *   auto request = FleetRequest(makeArrivalTrace(trace))
  *                      .policy(PlacementPolicy::RapShared)
@@ -17,10 +16,6 @@
  * non-positive crash MTBF, a negative restart overhead, a stop point
  * without a catalog, a catalog directory *and* an adopted catalog
  * handle — each comes back as a ConfigError naming the field.
- *
- * The legacy entry point (runFleet) remains as a thin shim routed
- * through the same validation, so existing call sites keep compiling
- * and misconfigurations fail with the full error list either way.
  */
 
 #ifndef RAP_FLEET_REQUEST_HPP
@@ -56,23 +51,9 @@ class FleetRequest
     }
 
     FleetRequest &
-    placement(PlacementOptions placement)
-    {
-        options_.placement = std::move(placement);
-        return *this;
-    }
-
-    FleetRequest &
     node(sim::ClusterSpec spec)
     {
         options_.node = std::move(spec);
-        return *this;
-    }
-
-    FleetRequest &
-    faults(sim::FaultSpec spec)
-    {
-        options_.faults = std::move(spec);
         return *this;
     }
 
@@ -196,8 +177,6 @@ class FleetRequest
     /** Direct access for knobs without a dedicated setter. */
     FleetOptions &options() { return options_; }
     const FleetOptions &options() const { return options_; }
-
-    const std::vector<JobSpec> &jobs() const { return jobs_; }
 
     /** @return The validation outcome for the current request. */
     core::ValidationResult validate() const;

@@ -32,6 +32,17 @@ fleetLabels(const FleetOptions &options)
 }
 
 /**
+ * Plan-cache key: jobs with the same plan id and n-gram stress share
+ * one preprocessing plan.
+ */
+std::string
+planKey(const JobSpec &spec)
+{
+    return "p" + std::to_string(spec.planId) + ".s" +
+           std::to_string(spec.ngramStress);
+}
+
+/**
  * Event kinds in processing order at equal timestamps: finishes free
  * capacity before degradations preempt, and both precede arrivals, so
  * a job arriving the instant another finishes sees the freed GPUs.
@@ -214,15 +225,8 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
                            std::to_string(segment_index) + ".json";
     }
 
-    const std::string plan_key = "p" + std::to_string(spec.planId) +
-                                 ".s" +
-                                 std::to_string(spec.ngramStress);
-    auto plan_it = planCache_.find(plan_key);
-    if (plan_it == planCache_.end()) {
-        plan_it =
-            planCache_.emplace(plan_key, buildJobPlan(spec)).first;
-    }
-    const auto report = core::runSystem(config, plan_it->second);
+    const auto report =
+        core::runSystem(config, planCache_.at(planKey(spec)));
     ++report_.simulationsRun;
     memo_[key] = report;
     if (options_.metrics != nullptr) {
@@ -265,9 +269,7 @@ FleetScheduler::precomputeReferences()
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
         if (seen.insert(jobs_[j].variantKey()).second)
             unique_jobs.push_back(j);
-        const std::string plan_key =
-            "p" + std::to_string(jobs_[j].planId) + ".s" +
-            std::to_string(jobs_[j].ngramStress);
+        const std::string plan_key = planKey(jobs_[j]);
         if (planCache_.find(plan_key) == planCache_.end())
             planCache_.emplace(plan_key, buildJobPlan(jobs_[j]));
     }
@@ -278,10 +280,7 @@ FleetScheduler::precomputeReferences()
         config.engineJobs = options_.engineJobs;
         config.clusterSpec =
             sim::subsetSpec(options_.node, spec.gpusRequested);
-        const std::string plan_key =
-            "p" + std::to_string(spec.planId) + ".s" +
-            std::to_string(spec.ngramStress);
-        return core::runSystem(config, planCache_.at(plan_key));
+        return core::runSystem(config, planCache_.at(planKey(spec)));
     };
     if (options_.metrics != nullptr) {
         options_.metrics

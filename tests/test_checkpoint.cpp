@@ -14,7 +14,6 @@
 
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
-#include "core/run_request.hpp"
 #include "dlrm/model_config.hpp"
 #include "dlrm/sharding.hpp"
 

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/run_request.hpp"
+#include "core/pipeline.hpp"
 #include "data/row_codec.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/spill.hpp"
