@@ -10,6 +10,47 @@
 
 namespace rap::core {
 
+namespace {
+
+/** (featureId, batch, gpu) of every item copy a mapping places. */
+using PlacedItems = std::set<std::tuple<int, int, int>>;
+
+PlacedItems
+placedItems(const GraphMapping &mapping)
+{
+    PlacedItems placed;
+    for (std::size_t g = 0; g < mapping.itemsPerGpu.size(); ++g) {
+        for (const auto &item : mapping.itemsPerGpu[g]) {
+            placed.emplace(item.featureId, item.batch,
+                           static_cast<int>(g));
+        }
+    }
+    return placed;
+}
+
+/** GraphMapper::remoteMessageSizes over a prebuilt @p placed set. */
+std::vector<Bytes>
+remoteMessages(const GraphMapper &mapper, const GraphMapping &mapping,
+               int gpu, const PlacedItems &placed)
+{
+    // A consumer with its own local copy of (feature, batch) needs no
+    // transfer — the §7.2 duplication case for row-wise tables.
+    std::vector<Bytes> messages;
+    for (const auto &item :
+         mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
+        for (int c : mapper.consumers(item)) {
+            if (c == gpu)
+                continue;
+            if (!placed.count({item.featureId, item.batch, c}))
+                messages.push_back(
+                    mapper.featureOutputBytes(item.featureId));
+        }
+    }
+    return messages;
+}
+
+} // namespace
+
 std::string
 mappingStrategyName(MappingStrategy strategy)
 {
@@ -34,11 +75,20 @@ GraphMapper::GraphMapper(const preproc::PreprocPlan &plan,
                          const dlrm::EmbeddingSharding &sharding,
                          sim::ClusterSpec cluster_spec, std::int64_t rows)
     : plan_(plan), sharding_(sharding),
-      clusterSpec_(std::move(cluster_spec)), rows_(rows)
+      clusterSpec_(std::move(cluster_spec)), rows_(rows),
+      chains_(plan.graph.featureChains())
 {
     RAP_ASSERT(sharding_.gpuCount() == clusterSpec_.gpuCount,
                "sharding GPU count does not match cluster");
     RAP_ASSERT(rows_ > 0, "batch size must be positive");
+    for (const auto &[feature_id, nodes] : chains_) {
+        const auto &tail = plan_.graph.node(nodes.back());
+        outputBytes_.emplace(
+            feature_id,
+            preproc::opOutputBytes(
+                tail.type,
+                preproc::nodeShape(tail, plan_.schema, rows_)));
+    }
 }
 
 int
@@ -66,13 +116,8 @@ GraphMapper::consumers(const WorkItem &item) const
 Bytes
 GraphMapper::featureOutputBytes(int feature_id) const
 {
-    const auto nodes = plan_.graph.featureNodes(feature_id);
-    if (nodes.empty())
-        return 0.0;
-    const auto &tail = plan_.graph.node(nodes.back());
-    const auto shape =
-        preproc::nodeShape(tail, plan_.schema, rows_);
-    return preproc::opOutputBytes(tail.type, shape);
+    const auto it = outputBytes_.find(feature_id);
+    return it == outputBytes_.end() ? 0.0 : it->second;
 }
 
 Bytes
@@ -91,8 +136,11 @@ GraphMapper::featureRawBytes(int feature_id) const
 Seconds
 GraphMapper::featureChainLatency(int feature_id) const
 {
+    const auto chain = chains_.find(feature_id);
+    if (chain == chains_.end())
+        return 0.0;
     Seconds total = 0.0;
-    for (int id : plan_.graph.featureNodes(feature_id)) {
+    for (int id : chain->second) {
         const auto &node = plan_.graph.node(id);
         const auto shape =
             preproc::nodeShape(node, plan_.schema, rows_);
@@ -107,27 +155,7 @@ std::vector<Bytes>
 GraphMapper::remoteMessageSizes(const GraphMapping &mapping,
                                 int gpu) const
 {
-    // A consumer with its own local copy of (feature, batch) needs no
-    // transfer — the §7.2 duplication case for row-wise tables.
-    std::set<std::tuple<int, int, int>> placed; // (feature, batch, gpu)
-    for (std::size_t g = 0; g < mapping.itemsPerGpu.size(); ++g) {
-        for (const auto &item : mapping.itemsPerGpu[g]) {
-            placed.emplace(item.featureId, item.batch,
-                           static_cast<int>(g));
-        }
-    }
-    std::vector<Bytes> messages;
-    for (const auto &item :
-         mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
-        for (int c : consumers(item)) {
-            if (c == gpu)
-                continue;
-            if (!placed.count({item.featureId, item.batch, c}))
-                messages.push_back(
-                    featureOutputBytes(item.featureId));
-        }
-    }
-    return messages;
+    return remoteMessages(*this, mapping, gpu, placedItems(mapping));
 }
 
 GraphMapping
@@ -136,9 +164,10 @@ GraphMapper::makeMapping(std::vector<std::vector<WorkItem>> items) const
     GraphMapping mapping;
     mapping.itemsPerGpu = std::move(items);
     mapping.commOutBytes.assign(mapping.itemsPerGpu.size(), 0.0);
+    const auto placed = placedItems(mapping);
     for (std::size_t g = 0; g < mapping.itemsPerGpu.size(); ++g) {
-        for (Bytes message : remoteMessageSizes(
-                 mapping, static_cast<int>(g))) {
+        for (Bytes message : remoteMessages(
+                 *this, mapping, static_cast<int>(g), placed)) {
             mapping.commOutBytes[g] += message;
         }
     }
@@ -185,21 +214,13 @@ GraphMapper::buildGpuGraph(const GraphMapping &mapping, int gpu) const
     RAP_ASSERT(gpu >= 0 && gpu < mapping.gpuCount(),
                "gpu ordinal out of range");
     preproc::PreprocGraph graph(plan_.schema);
-
-    // Cache per-feature node id lists (topo order) once.
-    std::map<int, std::vector<int>> chains;
     for (const auto &item :
          mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
-        if (!chains.count(item.featureId)) {
-            chains[item.featureId] =
-                plan_.graph.featureNodes(item.featureId);
-        }
-    }
-
-    for (const auto &item :
-         mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
+        const auto chain = chains_.find(item.featureId);
+        if (chain == chains_.end())
+            continue;
         std::map<int, int> remap; // source node id -> new node id
-        for (int id : chains[item.featureId]) {
+        for (int id : chain->second) {
             preproc::OpNode copy = plan_.graph.node(id);
             copy.id = -1;
             std::vector<int> kept_deps;

@@ -21,6 +21,7 @@
 #define RAP_CORE_MAPPING_HPP
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -85,6 +86,11 @@ struct GraphMapping
 
 /**
  * Builds and optimises graph mappings for a preprocessing plan.
+ *
+ * The constructor indexes each feature's chain and output bytes once,
+ * so each per-item lookup of the mapping search is a map lookup, not
+ * a topological sort of the whole plan. The index never changes after
+ * construction, so pool workers may share one mapper.
  */
 class GraphMapper
 {
@@ -173,6 +179,10 @@ class GraphMapper
     const dlrm::EmbeddingSharding &sharding_;
     sim::ClusterSpec clusterSpec_;
     std::int64_t rows_;
+    /** featureId -> the feature's node ids, in topological order. */
+    std::map<int, std::vector<int>> chains_;
+    /** featureId -> output bytes of the chain's tail at rows_. */
+    std::map<int, Bytes> outputBytes_;
 };
 
 } // namespace rap::core

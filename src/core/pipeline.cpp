@@ -820,8 +820,7 @@ runTorchArrow(const SystemConfig &config, const preproc::PreprocPlan &plan)
             preproc::nodeShape(node, plan.schema, config.batchPerGpu));
     }
     Bytes batch_out_bytes = 0.0;
-    for (int f : plan.graph.featureIds()) {
-        const auto nodes = plan.graph.featureNodes(f);
+    for (const auto &[feature_id, nodes] : plan.graph.featureChains()) {
         const auto &tail = plan.graph.node(nodes.back());
         batch_out_bytes += preproc::opOutputBytes(
             tail.type,

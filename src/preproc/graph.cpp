@@ -80,6 +80,15 @@ PreprocGraph::featureNodes(int feature_id) const
     return result;
 }
 
+std::map<int, std::vector<int>>
+PreprocGraph::featureChains() const
+{
+    std::map<int, std::vector<int>> chains;
+    for (int id : topoOrder())
+        chains[nodes_[static_cast<std::size_t>(id)].featureId].push_back(id);
+    return chains;
+}
+
 std::vector<int>
 PreprocGraph::featureIds() const
 {

@@ -14,6 +14,7 @@
 #define RAP_PREPROC_GRAPH_HPP
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,14 @@ class PreprocGraph
 
     /** @return ids of nodes belonging to @p feature_id, in topo order. */
     std::vector<int> featureNodes(int feature_id) const;
+
+    /**
+     * @return featureId -> featureNodes(featureId) for every featureId
+     *         present, from one topological pass. Per-feature loops
+     *         read this instead of calling featureNodes() each time,
+     *         which re-sorts the whole graph.
+     */
+    std::map<int, std::vector<int>> featureChains() const;
 
     /** @return All distinct featureIds present, ascending. */
     std::vector<int> featureIds() const;

@@ -206,11 +206,15 @@ makeSkewedPlan(int plan_id, int heavy_features, int extra_heavy_ops,
     const int heavy = std::min<int>(heavy_features,
                                     static_cast<int>(
                                         schema.sparseCount()));
+    // The nodes added below are sinks of their own feature, so they
+    // never move another feature's chain tail.
+    const auto chains = plan.graph.featureChains();
     for (int s = 0; s < heavy; ++s) {
         const int feature_id =
             sparseFeatureId(schema, static_cast<std::size_t>(s));
-        auto nodes = plan.graph.featureNodes(feature_id);
-        const int tail = nodes.empty() ? -1 : nodes.back();
+        const auto chain = chains.find(feature_id);
+        const int tail =
+            chain == chains.end() ? -1 : chain->second.back();
         // The extra feature-generation ops fan out flat from the
         // chain tail (no mutual dependencies), so horizontal fusion
         // can exploit them — the situation Figs. 11/12 study.
@@ -238,11 +242,11 @@ addNgramStress(PreprocPlan &plan, int count)
 {
     const auto &schema = plan.schema;
     RAP_ASSERT(schema.sparseCount() > 0, "plan has no sparse features");
+    const auto chains = plan.graph.featureChains();
     std::vector<int> tails(schema.sparseCount());
     for (std::size_t s = 0; s < schema.sparseCount(); ++s) {
-        const auto nodes = plan.graph.featureNodes(
-            sparseFeatureId(schema, s));
-        tails[s] = nodes.empty() ? -1 : nodes.back();
+        const auto chain = chains.find(sparseFeatureId(schema, s));
+        tails[s] = chain == chains.end() ? -1 : chain->second.back();
     }
     // Flat fan-out from each feature's tail: the added workload is
     // horizontally fusable, which is exactly the knob Fig. 11 turns.

@@ -7,6 +7,7 @@
 
 #include "data/criteo.hpp"
 #include "preproc/graph.hpp"
+#include "preproc/plan.hpp"
 
 namespace rap::preproc {
 namespace {
@@ -80,6 +81,52 @@ TEST(PreprocGraph, FeatureNodesFiltersByFeature)
     EXPECT_EQ(graph.featureNodes(13).size(), 4u);
     EXPECT_EQ(graph.featureNodes(14).size(), 1u);
     EXPECT_TRUE(graph.featureNodes(99).empty());
+}
+
+/** featureChains() is exactly featureNodes() for every featureId. */
+void
+expectChainsMatchFeatureNodes(const PreprocGraph &graph)
+{
+    const auto chains = graph.featureChains();
+    std::vector<int> keys;
+    for (const auto &[feature_id, nodes] : chains)
+        keys.push_back(feature_id);
+    EXPECT_EQ(keys, graph.featureIds());
+    for (int f : graph.featureIds())
+        EXPECT_EQ(chains.at(f), graph.featureNodes(f)) << "feature " << f;
+}
+
+TEST(PreprocGraph, FeatureChainsMatchFeatureNodes)
+{
+    for (int plan_id = 0; plan_id <= 3; ++plan_id) {
+        SCOPED_TRACE("plan " + std::to_string(plan_id));
+        expectChainsMatchFeatureNodes(makePlan(plan_id).graph);
+    }
+    {
+        SCOPED_TRACE("skewed plan");
+        expectChainsMatchFeatureNodes(makeSkewedPlan(0, 4, 50).graph);
+    }
+    {
+        SCOPED_TRACE("n-gram stress");
+        auto plan = makePlan(1);
+        addNgramStress(plan, 200);
+        expectChainsMatchFeatureNodes(plan.graph);
+    }
+
+    // Feature 13's first node (id 1) waits on feature 14's root, so
+    // Kahn's order visits 13's second node (id 2) first: the chain
+    // order is not id order.
+    PreprocGraph graph(
+        data::makePresetSchema(data::DatasetPreset::CriteoKaggle));
+    const int other = graph.addNode(makeNode(OpType::FillNull, 14, {},
+                                             1));
+    auto ngram = makeNode(OpType::Ngram, 13, {other});
+    ngram.inputs.push_back(ColumnRef{FeatureKind::Sparse, 1});
+    const int late = graph.addNode(std::move(ngram));
+    const int early = graph.addNode(makeNode(OpType::FillNull, 13, {}));
+    EXPECT_EQ(graph.featureChains().at(13),
+              (std::vector<int>{early, late}));
+    expectChainsMatchFeatureNodes(graph);
 }
 
 TEST(PreprocGraph, FeatureIdsSortedUnique)
