@@ -20,6 +20,8 @@
  *
  * Flags beyond the common set (bench_common.hpp):
  *
+ *   --engine-jobs N  worker threads inside each simulation's DES
+ *                  engine (0 = all hardware threads; default 1)
  *   --report PATH  rap.scale.v1 JSON artifact (per-size stats)
  *   --reps N       repeat each size N times, report the fastest wall
  *                  clock (simulation stats are identical every rep)
@@ -271,6 +273,10 @@ main(int argc, char **argv)
     bench::ArgParser args(
         "bench_scale",
         "synthetic thousand-GPU scaling sweep for the parallel engine");
+    const int &engine_jobs_flag = args.addInt(
+        "--engine-jobs", 1,
+        "DES engine worker threads per simulation "
+        "(0 = all hardware threads; results byte-identical)");
     const std::string &report_path = args.addString(
         "--report", "", "rap.scale.v1 JSON output path (CI diffs this)");
     const int &reps =
@@ -280,7 +286,9 @@ main(int argc, char **argv)
         "--zones", 0, "time zones per cluster (0 = one per device)");
     args.parse(argc, argv);
     const bool tiny = args.tiny();
-    const int engine_jobs = args.engineJobs();
+    const int engine_jobs = engine_jobs_flag <= 0
+                                ? ThreadPool::hardwareThreads()
+                                : engine_jobs_flag;
     obs::MetricRegistry registry;
     obs::MetricRegistry *metrics =
         args.metricsPath().empty() ? nullptr : &registry;

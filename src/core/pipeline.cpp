@@ -17,6 +17,13 @@ namespace rap::core {
 
 namespace {
 
+/** TorchArrow baseline: preprocessing workers per GPU (paper §1). */
+constexpr int kTorchArrowWorkersPerGpu = 8;
+/** TorchArrow baseline: CPU cores per worker. */
+constexpr int kCoresPerWorker = 4;
+/** Relative iteration-latency drift that triggers a replan. */
+constexpr double kReplanDriftThreshold = 0.15;
+
 /**
  * Labels for this run's instruments: the configured `run=` scope (when
  * set) plus any extra pairs. Sweep benches sharing one registry across
@@ -831,10 +838,8 @@ runTorchArrow(const SystemConfig &config, const preproc::PreprocPlan &plan)
     auto &cluster = run.node.cluster;
     const int n = config.iterations;
     const int gpus = config.gpuCount;
-    const int workers = config.torchArrowWorkersPerGpu;
-    const int cores = config.coresPerWorker;
     const Seconds task_duration =
-        batch_core_seconds / static_cast<double>(cores);
+        batch_core_seconds / static_cast<double>(kCoresPerWorker);
 
     // Input-ready events gate the trainer.
     const auto ready = makeGpuEvents("input", gpus, n);
@@ -847,11 +852,11 @@ runTorchArrow(const SystemConfig &config, const preproc::PreprocPlan &plan)
         const auto gi = static_cast<std::size_t>(g);
         auto &copy_stream = cluster.device(g).newStream(
             "gpu" + std::to_string(g) + ".h2d_queue");
-        for (int w = 0; w < workers; ++w) {
+        for (int w = 0; w < kTorchArrowWorkersPerGpu; ++w) {
             auto &worker_stream = cluster.host().newStream(
                 "ta.g" + std::to_string(g) + ".w" + std::to_string(w));
-            for (int j = w; j < n; j += workers) {
-                worker_stream.pushCpuTask(task_duration, cores);
+            for (int j = w; j < n; j += kTorchArrowWorkersPerGpu) {
+                worker_stream.pushCpuTask(task_duration, kCoresPerWorker);
                 worker_stream.pushRecord(
                     cpu_done[gi][static_cast<std::size_t>(j)]);
             }
@@ -894,7 +899,7 @@ runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
                                     fusion_options);
 
     const int hybrid_cores = std::max(
-        1, std::min(config.torchArrowWorkersPerGpu * config.coresPerWorker,
+        1, std::min(kTorchArrowWorkersPerGpu * kCoresPerWorker,
                     cluster_spec.cpuCores / config.gpuCount));
     const std::vector<Seconds> cpu_part_core_seconds =
         config.system == System::HybridRap
@@ -1189,7 +1194,7 @@ runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
                 }
                 if (metrics != nullptr)
                     metrics->series("train.drift", labels).append(j, drift);
-                if (drift > config.replanDriftThreshold) {
+                if (drift > kReplanDriftThreshold) {
                     replan(observed);
                     last_replan_iter = j;
                 }

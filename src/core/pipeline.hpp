@@ -123,10 +123,6 @@ struct SystemConfig
      * chains are duplicated (§7.2).
      */
     std::int64_t rowWiseThreshold = 0;
-    /** TorchArrow baseline: preprocessing workers per GPU. */
-    int torchArrowWorkersPerGpu = 8;
-    /** TorchArrow baseline: CPU cores per worker. */
-    int coresPerWorker = 4;
     /**
      * Host worker threads for the offline planning phase (per-GPU
      * fusion planning, mapping search, co-run scheduling). 1 = serial,
@@ -141,10 +137,9 @@ struct SystemConfig
      * value: the engine's conservative zone partition fixes event
      * order independently of the worker count. Training runs execute
      * as a single zone (their collectives synchronise every device at
-     * sub-lookahead granularity), so the knob only changes wall-clock
-     * for partitioned simulations such as bench_scale's synthetic
-     * fleets; it is validated and forwarded everywhere for
-     * uniformity.
+     * sub-lookahead granularity), so the knob never changes a
+     * training run's wall-clock; only partitioned simulations such as
+     * bench_scale's synthetic fleets use more than one worker.
      */
     int engineJobs = 1;
     /**
@@ -168,16 +163,14 @@ struct SystemConfig
     std::optional<ingest::IngestConfig> ingest;
     /**
      * Online replanning: after warmup, compare each iteration's
-     * observed latency against the cost model's prediction; past
-     * replanDriftThreshold, re-run the co-run scheduler (and, with
+     * observed latency against the cost model's prediction; past a
+     * 15% relative drift, re-run the co-run scheduler (and, with
      * replanMapping, the joint mapping search) on the degraded
      * resource envelopes using the planning pool, splicing the new
      * schedule in at the next batch boundary. Applies to RAP variants
      * with capacity scheduling.
      */
     bool replanOnDrift = false;
-    /** Relative iteration-latency drift that triggers a replan. */
-    double replanDriftThreshold = 0.15;
     /** Also re-run GraphMapper::mapRap on each replan. */
     bool replanMapping = false;
     /**

@@ -74,10 +74,6 @@ SystemConfig::validate() const
                             std::to_string(gpuCount));
     }
 
-    if (replanOnDrift && replanDriftThreshold <= 0.0) {
-        result.addError("replanDriftThreshold",
-                        "drift threshold must be positive");
-    }
     if (rowWiseThreshold < 0) {
         result.addError("rowWiseThreshold",
                         "row-wise threshold cannot be negative");
@@ -117,18 +113,6 @@ SystemConfig::validate() const
         result.addError("inference",
                         "inference serving has no training state to "
                         "checkpoint; disable checkpointing");
-    }
-
-    if (system == System::TorchArrowCpu ||
-        system == System::HybridRap) {
-        if (torchArrowWorkersPerGpu < 1) {
-            result.addError("torchArrowWorkersPerGpu",
-                            "need at least one worker per GPU");
-        }
-        if (coresPerWorker < 1) {
-            result.addError("coresPerWorker",
-                            "need at least one core per worker");
-        }
     }
 
     if (ingest) {

@@ -22,9 +22,7 @@ fleetOptionsToJson(const FleetOptions &options)
     json.set("faults", options.faults.toJson());
     json.set("requeueOnDegrade", Json(options.requeueOnDegrade));
     json.set("restartOverhead", Json(options.restartOverhead));
-    json.set("envelopeQuantum", Json(options.envelopeQuantum));
     json.set("tracePrefix", Json(options.tracePrefix));
-    json.set("engineJobs", Json(options.engineJobs));
     return json;
 }
 
@@ -38,9 +36,7 @@ fleetOptionsFromJson(const Json &json)
     options.faults = sim::FaultSpec::fromJson(json.at("faults"));
     options.requeueOnDegrade = json.at("requeueOnDegrade").asBool();
     options.restartOverhead = json.at("restartOverhead").asDouble();
-    options.envelopeQuantum = json.at("envelopeQuantum").asDouble();
     options.tracePrefix = json.at("tracePrefix").asString();
-    options.engineJobs = serial::getInt(json, "engineJobs");
     return options;
 }
 

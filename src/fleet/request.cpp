@@ -6,17 +6,25 @@
 
 namespace rap::fleet {
 
+namespace {
+
+/**
+ * The checks on a job trace and the options a FleetScheduler runs
+ * with. FleetRequest::validate() and resumeFleet() (whose genesis
+ * record is read from disk) both run them, so the scheduler itself
+ * never re-checks its input.
+ */
 core::ValidationResult
-FleetRequest::validate() const
+validateRun(const std::vector<JobSpec> &jobs, const FleetOptions &options)
 {
     core::ValidationResult result;
-    const int gpu_count = options_.node.gpuCount;
+    const int gpu_count = options.node.gpuCount;
     if (gpu_count < 1)
         result.addError("node.gpuCount", "node needs at least one GPU");
-    if (jobs_.empty())
+    if (jobs.empty())
         result.addError("jobs", "fleet needs at least one job");
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-        const auto &spec = jobs_[j];
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const auto &spec = jobs[j];
         const std::string field = "jobs[" + std::to_string(j) + "]";
         if (spec.id != static_cast<int>(j)) {
             result.addError(field + ".id",
@@ -47,33 +55,25 @@ FleetRequest::validate() const
             }
         }
     }
-    if (!(options_.envelopeQuantum > 0.0 &&
-          options_.envelopeQuantum <= 1.0)) {
-        result.addError("envelopeQuantum", "must be in (0, 1]");
-    }
-    if (!(options_.restartOverhead >= 0.0) ||
-        !std::isfinite(options_.restartOverhead)) {
+    if (!(options.restartOverhead >= 0.0) ||
+        !std::isfinite(options.restartOverhead)) {
         result.addError("restartOverhead",
                         "must be finite and non-negative");
     }
-    if (!(options_.placement.headroom > 0.0 &&
-          options_.placement.headroom <= 1.0)) {
+    if (!(options.placement.headroom > 0.0 &&
+          options.placement.headroom <= 1.0)) {
         result.addError("placement.headroom", "must be in (0, 1]");
     }
-    if (!(options_.placement.minEnvelope >= 0.0 &&
-          options_.placement.minEnvelope <= 1.0)) {
+    if (!(options.placement.minEnvelope >= 0.0 &&
+          options.placement.minEnvelope <= 1.0)) {
         result.addError("placement.minEnvelope", "must be in [0, 1]");
     }
-    if (!(options_.placement.demandScale > 0.0 &&
-          options_.placement.demandScale <= 1.0)) {
+    if (!(options.placement.demandScale > 0.0 &&
+          options.placement.demandScale <= 1.0)) {
         result.addError("placement.demandScale", "must be in (0, 1]");
     }
-    if (options_.engineJobs < 0) {
-        result.addError("engineJobs",
-                        "must be >= 0 (0 = hardware concurrency)");
-    }
-    for (std::size_t e = 0; e < options_.faults.events.size(); ++e) {
-        const auto &event = options_.faults.events[e];
+    for (std::size_t e = 0; e < options.faults.events.size(); ++e) {
+        const auto &event = options.faults.events[e];
         const std::string field =
             "faults.events[" + std::to_string(e) + "]";
         const bool fleet_kind =
@@ -103,6 +103,15 @@ FleetRequest::validate() const
                             "degradation factor must be in (0, 1]");
         }
     }
+    return result;
+}
+
+} // namespace
+
+core::ValidationResult
+FleetRequest::validate() const
+{
+    core::ValidationResult result = validateRun(jobs_, options_);
     if (crashFaults_) {
         if (!(crashMtbf_ > 0.0)) {
             result.addError("crashFaults.mtbf",
@@ -181,6 +190,9 @@ resumeFleet(ctrl::Catalog &catalog, ThreadPool *pool)
     std::vector<JobSpec> jobs;
     for (const Json &spec : state.genesis.at("jobs").elements())
         jobs.push_back(JobSpec::fromJson(spec));
+    const auto result = validateRun(jobs, options);
+    if (!result.ok())
+        RAP_FATAL("invalid fleet genesis record:\n", result.render());
     options.catalog = &catalog;
     options.metrics = catalog.options().metrics;
     FleetScheduler scheduler(std::move(jobs), std::move(options), pool);

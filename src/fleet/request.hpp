@@ -95,13 +95,6 @@ class FleetRequest
     }
 
     FleetRequest &
-    envelopeQuantum(double quantum)
-    {
-        options_.envelopeQuantum = quantum;
-        return *this;
-    }
-
-    FleetRequest &
     tracePrefix(std::string prefix)
     {
         options_.tracePrefix = std::move(prefix);
@@ -114,14 +107,6 @@ class FleetRequest
     {
         options_.metrics = registry;
         options_.metricsScope = std::move(scope);
-        return *this;
-    }
-
-    /** DES engine worker threads per inner simulation. */
-    FleetRequest &
-    engineJobs(int jobs)
-    {
-        options_.engineJobs = jobs;
         return *this;
     }
 

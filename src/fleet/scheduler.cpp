@@ -20,6 +20,12 @@ namespace rap::fleet {
 
 namespace {
 
+/**
+ * Envelope shares are floored to this quantum before simulation,
+ * bounding the memo key space (and keeping keys exact).
+ */
+constexpr double kEnvelopeQuantum = 0.05;
+
 /** Scheduler-level instrument labels: policy plus the run scope. */
 obs::Labels
 fleetLabels(const FleetOptions &options)
@@ -40,6 +46,27 @@ planKey(const JobSpec &spec)
 {
     return "p" + std::to_string(spec.planId) + ".s" +
            std::to_string(spec.ngramStress);
+}
+
+/**
+ * Memo key: workload variant x quantised envelope (as exact grid
+ * indices, never formatted floats). Physical GPU ids are excluded on
+ * purpose — the simulation is identical on any subset of equal size,
+ * only trace labels differ.
+ */
+std::string
+memoKey(const JobSpec &spec, const std::vector<core::GpuEnvelope> &envelopes)
+{
+    std::string key = spec.variantKey();
+    for (const auto &env : envelopes) {
+        key += "|" +
+               std::to_string(static_cast<long long>(
+                   std::llround(env.sm / kEnvelopeQuantum))) +
+               "," +
+               std::to_string(static_cast<long long>(
+                   std::llround(env.bw / kEnvelopeQuantum)));
+    }
+    return key;
 }
 
 /**
@@ -86,40 +113,10 @@ FleetScheduler::FleetScheduler(std::vector<JobSpec> jobs,
                                FleetOptions options, ThreadPool *pool)
     : jobs_(std::move(jobs)), options_(std::move(options)), pool_(pool)
 {
-    RAP_ASSERT(!jobs_.empty(), "fleet needs at least one job");
-    RAP_ASSERT(options_.envelopeQuantum > 0.0 &&
-                   options_.envelopeQuantum <= 1.0,
-               "envelope quantum must be in (0, 1]");
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-        RAP_ASSERT(jobs_[j].id == static_cast<int>(j),
-                   "job ids must be dense and ordered");
-        RAP_ASSERT(jobs_[j].gpusRequested >= 1 &&
-                       jobs_[j].gpusRequested <= options_.node.gpuCount,
-                   "job ", jobs_[j].id, " requests ",
-                   jobs_[j].gpusRequested, " GPUs on a ",
-                   options_.node.gpuCount, "-GPU node");
-    }
-    RAP_ASSERT(options_.restartOverhead >= 0.0,
-               "restart overhead cannot be negative");
-    for (const auto &e : options_.faults.events) {
-        RAP_ASSERT(e.kind == sim::FaultKind::SmDegrade ||
-                       e.kind == sim::FaultKind::HbmDegrade ||
-                       e.kind == sim::FaultKind::DeviceCrash,
-                   "fleet-scope faults support SmDegrade/HbmDegrade/"
-                   "DeviceCrash only");
-        RAP_ASSERT(e.device < options_.node.gpuCount,
-                   "fleet fault targets GPU ", e.device, " on a ",
-                   options_.node.gpuCount, "-GPU node");
-    }
     requestArrivals_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
         if (jobs_[j].kind != JobKind::Inference)
             continue;
-        RAP_ASSERT(jobs_[j].checkpointInterval == 0,
-                   "inference job ", jobs_[j].id,
-                   " has no training state to checkpoint");
-        RAP_ASSERT(jobs_[j].sloLatency > 0.0, "inference job ",
-                   jobs_[j].id, " needs a positive SLO latency");
         // Requests are generated relative to the job's submission and
         // re-based onto the fleet clock here, once: every
         // re-placement after a preemption re-serves this same trace.
@@ -128,12 +125,6 @@ FleetScheduler::FleetScheduler(std::vector<JobSpec> jobs,
             t += jobs_[j].arrival;
         requestArrivals_[j] = std::move(arrivals);
     }
-    RAP_ASSERT(options_.stopAfterEvents >= 0,
-               "stopAfterEvents cannot be negative");
-    RAP_ASSERT(options_.stopAfterEvents == 0 ||
-                   options_.catalog != nullptr,
-               "stopAfterEvents without a catalog would just lose "
-               "the run");
     lastDurable_.assign(jobs_.size(), 0.0);
     sealCount_.assign(jobs_.size(), 0);
     gpus_.resize(static_cast<std::size_t>(options_.node.gpuCount));
@@ -163,11 +154,11 @@ FleetScheduler::genesisTransaction() const
 Placement
 FleetScheduler::quantised(Placement placement) const
 {
-    const double quantum = options_.envelopeQuantum;
-    auto snap = [quantum](double share) {
+    auto snap = [](double share) {
         const double floored =
-            std::floor(share / quantum + 1e-9) * quantum;
-        return std::min(1.0, std::max(quantum, floored));
+            std::floor(share / kEnvelopeQuantum + 1e-9) *
+            kEnvelopeQuantum;
+        return std::min(1.0, std::max(kEnvelopeQuantum, floored));
     };
     for (auto &env : placement.envelopes) {
         env.sm = snap(env.sm);
@@ -180,19 +171,7 @@ core::RunReport
 FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
                          int segment_index)
 {
-    // Memo key: workload variant x quantised envelope (as exact grid
-    // indices, never formatted floats). Physical GPU ids are excluded
-    // on purpose — the simulation is identical on any subset of equal
-    // size, only trace labels differ.
-    std::string key = spec.variantKey();
-    for (const auto &env : placement.envelopes) {
-        key += "|" +
-               std::to_string(static_cast<long long>(
-                   std::llround(env.sm / options_.envelopeQuantum))) +
-               "," +
-               std::to_string(static_cast<long long>(
-                   std::llround(env.bw / options_.envelopeQuantum)));
-    }
+    const std::string key = memoKey(spec, placement.envelopes);
     const bool tracing = !options_.tracePrefix.empty();
     if (!tracing) {
         const auto it = memo_.find(key);
@@ -211,9 +190,6 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
     // whether or not the fleet run is instrumented: never hand them
     // the scheduler's registry.
     config.metrics = nullptr;
-    // Safe under memoisation: reports are byte-identical at any
-    // engine job count, so the memo key need not mention it.
-    config.engineJobs = options_.engineJobs;
     config.clusterSpec =
         sim::subsetSpec(options_.node, spec.gpusRequested);
     config.gpuSubset = placement.gpuIds;
@@ -277,7 +253,6 @@ FleetScheduler::precomputeReferences()
     auto referenceRun = [&](std::size_t u) {
         const auto &spec = jobs_[unique_jobs[u]];
         auto config = makeJobConfig(spec);
-        config.engineJobs = options_.engineJobs;
         config.clusterSpec =
             sim::subsetSpec(options_.node, spec.gpusRequested);
         return core::runSystem(config, planCache_.at(planKey(spec)));
@@ -303,14 +278,9 @@ FleetScheduler::precomputeReferences()
         ++report_.simulationsRun;
         // Seed the memo with the whole-device entry so an exclusive
         // healthy placement reuses the reference run.
-        std::string key = spec.variantKey();
-        const auto whole = static_cast<long long>(
-            std::llround(1.0 / options_.envelopeQuantum));
-        for (int g = 0; g < spec.gpusRequested; ++g) {
-            key += "|" + std::to_string(whole) + "," +
-                   std::to_string(whole);
-        }
-        memo_[key] = report;
+        const std::vector<core::GpuEnvelope> whole(
+            static_cast<std::size_t>(spec.gpusRequested));
+        memo_[memoKey(spec, whole)] = report;
         DemandEstimate demand;
         demand.sm = std::clamp(report.avgSmUtil, 0.05, 1.0);
         demand.bw = std::clamp(report.avgBwUtil, 0.05, 1.0);

@@ -94,11 +94,6 @@ struct FleetOptions
      */
     Seconds restartOverhead = 0.0;
     /**
-     * Envelope shares are floored to this quantum before simulation,
-     * bounding the memo key space (and keeping keys exact).
-     */
-    double envelopeQuantum = 0.05;
-    /**
      * When non-empty, every placed segment dumps its Chrome trace to
      * `<prefix>.job<id>.seg<n>.json` (disables memoisation so each
      * job gets its own trace).
@@ -118,14 +113,6 @@ struct FleetOptions
      * per-point scope so instruments stay point-private.
      */
     std::string metricsScope;
-    /**
-     * DES engine workers inside each inner job simulation (1 = serial,
-     * 0 = hardware concurrency). Reports are byte-identical at any
-     * value, so memo keys stay valid; the knob only trades wall clock.
-     * Trainer simulations run single-zone today, so this forwards the
-     * configuration without changing scheduling behaviour.
-     */
-    int engineJobs = 1;
     /**
      * Optional durable catalog (non-owning). When attached, the run
      * commits a genesis transaction (config + job specs) and then one
@@ -150,8 +137,8 @@ struct FleetOptions
 
 /**
  * The semantic subset of FleetOptions the catalog's genesis record
- * persists (placement policy, node, faults, fault handling, quantum,
- * trace prefix, engine jobs) — everything a resume needs to re-execute
+ * persists (placement policy, node, faults, fault handling, restart
+ * overhead, trace prefix) — everything a resume needs to re-execute
  * the identical run. Runtime attachments (metrics, catalog pointer,
  * stop knobs) stay out: they never influence the report bytes.
  */
@@ -163,6 +150,10 @@ class FleetScheduler
 {
   public:
     /**
+     * FleetRequest::run() and resumeFleet() validate @p jobs and
+     * @p options before constructing a scheduler; it does not check
+     * them again.
+     *
      * @param jobs Arrival trace (ids dense, arrival-ordered).
      * @param options Fleet configuration.
      * @param pool Optional pool for the reference-simulation fan-out;

@@ -66,10 +66,6 @@ validateIngestConfig(const IngestConfig &config)
             "stagingQueueCap",
             "drop/spill policies need a queue capacity >= 1");
     }
-    if (config.depthSampleEvery < 1) {
-        issues.emplace_back("depthSampleEvery",
-                            "queue-depth sampling stride must be >= 1");
-    }
     if (config.profile.eventsPerSec <= 0.0) {
         issues.emplace_back("profile.eventsPerSec",
                             "base emission rate must be > 0");

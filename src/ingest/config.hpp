@@ -12,8 +12,8 @@
  *  - `producers` is the *transport* knob: how many OS threads carry
  *    the streams into the staging consumer. Any producer count yields
  *    byte-identical batches, metrics, and reports — the same contract
- *    `--jobs` / `--engine-jobs` keep elsewhere in the repo, and what
- *    CI's determinism job diffs for bench_ingest.
+ *    the sweep benches' `--jobs` and the parallel DES engine keep, and
+ *    what CI's determinism job diffs for bench_ingest.
  */
 
 #ifndef RAP_INGEST_CONFIG_HPP
@@ -75,8 +75,6 @@ struct IngestConfig
     BackpressurePolicy policy = BackpressurePolicy::Block;
     /** Spill log path; "" auto-creates one under the temp dir. */
     std::string spillPath;
-    /** Sample ingest.queue_depth every N-th arrival. */
-    int depthSampleEvery = 64;
     /**
      * Fault-injection context for the spill log (non-owning; null =
      * plain POSIX). When the spill disk dies past the retry budget,

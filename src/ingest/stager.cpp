@@ -13,6 +13,9 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/** Sample ingest.queue_depth every N-th arrival. */
+constexpr std::uint64_t kDepthSampleEvery = 64;
+
 std::uint64_t
 fnv1a(std::uint64_t hash, std::uint64_t value)
 {
@@ -82,9 +85,7 @@ Stager::push(Event &&event)
 
     ++arrivalTick_;
     if (metrics_.queueDepth != nullptr &&
-        arrivalTick_ %
-                static_cast<std::uint64_t>(config_.depthSampleEvery) ==
-            0) {
+        arrivalTick_ % kDepthSampleEvery == 0) {
         metrics_.queueDepth->append(
             event.emitTime, static_cast<double>(waiting_.size()));
     }

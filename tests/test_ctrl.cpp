@@ -708,5 +708,36 @@ TEST(FleetResume, ResumingAFinishedRunReproducesTheReport)
               want);
 }
 
+// A genesis record read from disk gets the same validation a fresh
+// FleetRequest does: resume exits with the rendered field list instead
+// of running (or asserting inside) the scheduler.
+TEST(FleetResumeDeathTest, BadGenesisExitsNamingTheField)
+{
+    fleet::ArrivalTraceOptions trace_options;
+    trace_options.tiny = true;
+    trace_options.jobCount = 1;
+    auto jobs = fleet::makeArrivalTrace(trace_options);
+    jobs[0].gpusRequested = 9;
+    const fleet::FleetOptions options; // one 8-GPU node
+    ASSERT_EQ(options.node.gpuCount, 8);
+
+    Json specs = Json::array();
+    specs.push(jobs[0].toJson());
+    Json genesis = Json::object();
+    genesis.set("kind", Json("genesis"));
+    genesis.set("config", fleet::fleetOptionsToJson(options));
+    genesis.set("jobs", std::move(specs));
+
+    const std::string dir = freshDir("resume_bad_genesis");
+    ctrl::CatalogOptions catalog_options;
+    catalog_options.dir = dir;
+    ctrl::Catalog::open(catalog_options)->commit(std::move(genesis));
+
+    EXPECT_EXIT(fleet::resumeFleet(catalog_options),
+                ::testing::ExitedWithCode(1),
+                "invalid fleet genesis record:\n"
+                "jobs\\[0\\]\\.gpusRequested: requests 9 GPUs");
+}
+
 } // namespace
 } // namespace rap

@@ -649,8 +649,7 @@ TEST(FleetRequestValidation, WellFormedRequestValidates)
 {
     FleetRequest request(makeArrivalTrace(tinyTraceOptions(3)));
     request.policy(PlacementPolicy::RapShared)
-        .restartOverhead(0.05)
-        .envelopeQuantum(0.05);
+        .restartOverhead(0.05);
     const auto result = request.validate();
     EXPECT_TRUE(result.ok()) << result.render();
 }
@@ -659,23 +658,19 @@ TEST(FleetRequestValidation, BadKnobsAreRejectedNotClamped)
 {
     FleetRequest request(makeArrivalTrace(tinyTraceOptions(2)));
     request.restartOverhead(-1.0)
-        .envelopeQuantum(0.0)
         .crashFaults(/*mtbf=*/0.0, /*seed=*/1, /*horizon=*/-5.0);
     request.options().placement.headroom = 1.5;
     request.options().placement.demandScale = 0.0;
-    request.options().engineJobs = -2;
 
     const auto result = request.validate();
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(hasError(result, "restartOverhead"));
-    EXPECT_TRUE(hasError(result, "envelopeQuantum"));
     EXPECT_TRUE(hasError(result, "crashFaults.mtbf"));
     EXPECT_TRUE(hasError(result, "crashFaults.horizon"));
     EXPECT_TRUE(hasError(result, "placement.headroom"));
     EXPECT_TRUE(hasError(result, "placement.demandScale"));
-    EXPECT_TRUE(hasError(result, "engineJobs"));
     // Every problem surfaces at once, one rendered line each.
-    EXPECT_GE(result.errors().size(), 7u);
+    EXPECT_GE(result.errors().size(), 5u);
     EXPECT_NE(result.render().find("restartOverhead: "),
               std::string::npos);
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "milp/solver.hpp"
 
@@ -22,6 +25,25 @@ parallelChains(int k, int len)
             const int id = c * len + i;
             if (i > 0)
                 problem.deps.emplace_back(id, id - 1);
+        }
+    }
+    return problem;
+}
+
+/**
+ * A random DAG of @p lo..@p hi ops over three types, with back-edges
+ * of ~30% density.
+ */
+FusionProblem
+randomDag(Rng &rng, int lo, int hi)
+{
+    FusionProblem problem;
+    const int n = static_cast<int>(rng.uniformInt(lo, hi));
+    for (int i = 0; i < n; ++i) {
+        problem.type.push_back(static_cast<int>(rng.uniformInt(0, 2)));
+        for (int j = 0; j < i; ++j) {
+            if (rng.bernoulli(0.3 / (1.0 + 0.2 * i)))
+                problem.deps.emplace_back(i, j);
         }
     }
     return problem;
@@ -139,16 +161,7 @@ class SolverAgreementTest : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(SolverAgreementTest, HeuristicNearExact)
 {
     Rng rng(GetParam());
-    FusionProblem problem;
-    const int n = static_cast<int>(rng.uniformInt(4, 10));
-    for (int i = 0; i < n; ++i) {
-        problem.type.push_back(static_cast<int>(rng.uniformInt(0, 2)));
-        // Random back-edges with ~30% density.
-        for (int j = 0; j < i; ++j) {
-            if (rng.bernoulli(0.3 / (1.0 + 0.2 * i)))
-                problem.deps.emplace_back(i, j);
-        }
-    }
+    const FusionProblem problem = randomDag(rng, 4, 10);
     FusionSolver solver;
     const auto exact = solver.solveExact(problem);
     const auto heuristic = solver.solveHeuristic(problem);
@@ -164,6 +177,39 @@ TEST_P(SolverAgreementTest, HeuristicNearExact)
 
 INSTANTIATE_TEST_SUITE_P(RandomDags, SolverAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+/** Property: the exact search finds the true optimum on tiny DAGs. */
+class ExactSolverOptimality : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(ExactSolverOptimality, MatchesBruteForceOnRandomDags)
+{
+    Rng rng(GetParam());
+    const FusionProblem problem = randomDag(rng, 2, 7);
+    const int n = static_cast<int>(problem.size());
+
+    // Every step vector in [0, n)^n, odometer order.
+    double best = -1.0;
+    std::vector<int> step(problem.size(), 0);
+    for (;;) {
+        if (isFeasible(problem, step))
+            best = std::max(best, fusionObjective(problem, step));
+        std::size_t digit = 0;
+        while (digit < step.size() && ++step[digit] == n)
+            step[digit++] = 0;
+        if (digit == step.size())
+            break;
+    }
+
+    const auto exact = FusionSolver().solveExact(problem);
+    EXPECT_TRUE(exact.optimal);
+    EXPECT_TRUE(isFeasible(problem, exact.step));
+    EXPECT_EQ(exact.objective, best);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomDags, ExactSolverOptimality,
+                         ::testing::Range<std::uint64_t>(1, 26));
 
 TEST(Solver, AutoPicksBackendBySize)
 {

@@ -251,6 +251,20 @@ TEST(Snapshot, SeriesCsvFormat)
               "fleet.queue_depth,\"{policy=shared}\",2,3\n");
 }
 
+// tests/fixtures/metrics_label_prefix.json, which the ValidateMetrics
+// ctest feeds to tools/validate_metrics, is exactly what the exporter
+// writes for one counter under a label set and an extension of it.
+TEST(Snapshot, LabelPrefixFixtureIsExporterOutput)
+{
+    MetricRegistry registry;
+    const Labels scoped{{"policy", "rap_shared"}, {"run", "a"}};
+    registry.counter("fleet.placements", scoped).inc(8);
+    registry.counter("fleet.placements", {{"policy", "rap_shared"}}).inc(8);
+    const Json fixture = readJsonFile(
+        std::string(RAP_TESTS_DIR) + "/fixtures/metrics_label_prefix.json");
+    EXPECT_EQ(snapshotJson(registry).dump(2), fixture.dump(2));
+}
+
 /**
  * Compare @p text with tests/golden/@p file, or rewrite the file (and
  * skip) when RAP_REGEN_GOLDEN is set.

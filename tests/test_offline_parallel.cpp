@@ -4,15 +4,14 @@
  *
  * The thread-pool contract promises that serial and multi-threaded
  * runs of the same configuration are bit-identical. These tests pin
- * that down at every level that went parallel: the branch-and-bound
- * fusion solver, planOffline's mapping + per-GPU schedules, and the
- * end-to-end RunReport. All floating-point comparisons use EXPECT_EQ
- * on purpose — bit-identical, not merely close.
+ * that down at every level that went parallel: planOffline's mapping
+ * + per-GPU schedules and the end-to-end RunReport. All floating-point
+ * comparisons use EXPECT_EQ on purpose — bit-identical, not merely
+ * close.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "core/rap.hpp"
 
 namespace rap {
@@ -123,49 +122,6 @@ TEST(OfflineParallel, HybridAndRowWiseSystemsStayDeterministic)
         expectSameReport(serial, threaded);
     }
 }
-
-/** Parallel branch-and-bound equals serial on random small DAGs. */
-class SolverThreadsTest : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(SolverThreadsTest, ExactSolverBitIdentical)
-{
-    Rng rng(GetParam());
-    milp::FusionProblem problem;
-    const int n = static_cast<int>(rng.uniformInt(4, 10));
-    for (int i = 0; i < n; ++i) {
-        problem.type.push_back(static_cast<int>(rng.uniformInt(0, 2)));
-        for (int j = 0; j < i; ++j) {
-            if (rng.bernoulli(0.3 / (1.0 + 0.2 * i)))
-                problem.deps.emplace_back(i, j);
-        }
-    }
-
-    milp::SolverOptions serial_options;
-    serial_options.threads = 1;
-    const auto serial =
-        milp::FusionSolver(serial_options).solveExact(problem);
-    if (!serial.optimal) {
-        // Bit-identity is only promised while the node budget holds
-        // (SolverOptions::threads doc); a budget-exhausted instance
-        // can legitimately diverge.
-        GTEST_SKIP() << "node budget exhausted on this instance";
-    }
-
-    for (int threads : {2, 4, 8}) {
-        milp::SolverOptions options;
-        options.threads = threads;
-        const auto parallel =
-            milp::FusionSolver(options).solveExact(problem);
-        EXPECT_EQ(parallel.step, serial.step) << threads << " threads";
-        EXPECT_EQ(parallel.objective, serial.objective);
-        EXPECT_EQ(parallel.optimal, serial.optimal);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomDags, SolverThreadsTest,
-                         ::testing::Range<std::uint64_t>(1, 26));
 
 } // namespace
 } // namespace rap

@@ -130,19 +130,6 @@ TEST(Validate, RejectsClusterSpecGpuCountMismatch)
     EXPECT_TRUE(config.validate().ok());
 }
 
-TEST(Validate, RejectsNonPositiveDriftThresholdWhenReplanning)
-{
-    SystemConfig config;
-    config.replanOnDrift = true;
-    config.replanDriftThreshold = 0.0;
-    EXPECT_TRUE(
-        hasError(config.validate(), "replanDriftThreshold"));
-
-    // The threshold is ignored while replanning is off.
-    config.replanOnDrift = false;
-    EXPECT_TRUE(config.validate().ok());
-}
-
 TEST(Validate, RejectsNegativeRowWiseThreshold)
 {
     SystemConfig config;
@@ -157,29 +144,6 @@ TEST(Validate, RejectsNegativePlanningThreads)
     EXPECT_TRUE(hasError(config.validate(), "planningThreads"));
 
     config.planningThreads = 0; // 0 = hardware concurrency
-    EXPECT_TRUE(config.validate().ok());
-}
-
-TEST(Validate, RejectsBadTorchArrowWorkersForCpuSystems)
-{
-    for (auto system :
-         {System::TorchArrowCpu, System::HybridRap}) {
-        SystemConfig config;
-        config.system = system;
-        config.torchArrowWorkersPerGpu = 0;
-        config.coresPerWorker = 0;
-        const auto result = config.validate();
-        EXPECT_TRUE(hasError(result, "torchArrowWorkersPerGpu"))
-            << systemId(system);
-        EXPECT_TRUE(hasError(result, "coresPerWorker"))
-            << systemId(system);
-    }
-
-    // GPU-preprocessing systems never touch the TorchArrow knobs.
-    SystemConfig config;
-    config.system = System::Rap;
-    config.torchArrowWorkersPerGpu = 0;
-    config.coresPerWorker = 0;
     EXPECT_TRUE(config.validate().ok());
 }
 

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -172,9 +173,15 @@ validate(const Json &value, const Json &schema, const std::string &path,
     }
 }
 
+/** One entry's sort key: its name, then its label (key, value) pairs. */
+using EntryKey =
+    std::pair<std::string, std::vector<std::pair<std::string, std::string>>>;
+
 /**
- * Beyond the schema: every section must be sorted by (name, rendered
- * labels) — the exporter's determinism guarantee.
+ * Beyond the schema: every section must be sorted by (name, labels) —
+ * the exporter's determinism guarantee. Labels compare pair by pair
+ * in order, as obs::Labels does, so `{policy=a}` sorts before
+ * `{policy=a, run=b}`.
  */
 void
 checkOrdering(const Json &snapshot, Violations &out)
@@ -184,16 +191,20 @@ checkOrdering(const Json &snapshot, Violations &out)
         const Json *entries = snapshot.find(section);
         if (entries == nullptr || !entries->isArray())
             continue;
-        std::pair<std::string, std::string> prev;
+        EntryKey prev;
         for (std::size_t i = 0; i < entries->size(); ++i) {
             const Json &entry = entries->at(i);
             const Json *name = entry.find("name");
             const Json *labels = entry.find("labels");
             if (name == nullptr || !name->isString() ||
-                labels == nullptr)
+                labels == nullptr || !labels->isObject())
                 continue; // the schema pass reports the shape error
-            std::pair<std::string, std::string> key = {
-                name->asString(), labels->dump()};
+            EntryKey key{name->asString(), {}};
+            for (const auto &[label, value] : labels->members()) {
+                key.second.emplace_back(
+                    label, value.isString() ? value.asString()
+                                            : value.dump());
+            }
             if (i > 0 && key < prev) {
                 out.add(std::string(section) + "[" +
                             std::to_string(i) + "]",
