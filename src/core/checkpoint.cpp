@@ -8,37 +8,32 @@
 
 namespace rap::core {
 
+namespace {
+
+constexpr double kBytesPerParam = 4.0; // fp32
+
+constexpr auto kManifestFields = [](auto &m, auto &v) {
+    v("jobId", m.jobId);
+    v("sequence", m.sequence);
+    v("fraction", m.fraction);
+    v("sealedAt", m.sealedAt);
+    v("segment", m.segment);
+};
+
+} // namespace
+
 Json
 CheckpointManifest::toJson() const
 {
-    Json json = Json::object();
-    json.set("jobId", Json(jobId));
-    json.set("sequence", Json(sequence));
-    json.set("fraction", Json(fraction));
-    json.set("sealedAt", Json(sealedAt));
-    json.set("segment", Json(segment));
-    return json;
+    return serial::write(*this, kManifestFields);
 }
 
 CheckpointManifest
 CheckpointManifest::fromJson(const Json &json)
 {
-    if (!json.isObject())
-        RAP_FATAL("CheckpointManifest JSON must be an object");
-    CheckpointManifest manifest;
-    manifest.jobId = serial::getInt(json, "jobId");
-    manifest.sequence = serial::getInt(json, "sequence");
-    manifest.fraction = serial::getNumber(json, "fraction");
-    manifest.sealedAt = serial::getNumber(json, "sealedAt");
-    manifest.segment = serial::getInt(json, "segment");
-    return manifest;
+    return serial::read<CheckpointManifest>(json, kManifestFields,
+                                            "CheckpointManifest");
 }
-
-namespace {
-
-constexpr double kBytesPerParam = 4.0; // fp32
-
-} // namespace
 
 Bytes
 checkpointBytesPerGpu(const dlrm::DlrmConfig &model,

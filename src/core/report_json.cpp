@@ -16,8 +16,6 @@ namespace rap::core {
 
 namespace {
 
-constexpr const char *kRunReportSchema = "rap.run_report.v1";
-
 constexpr std::pair<System, const char *> kSystemIds[] = {
     {System::Ideal, "ideal"},
     {System::Rap, "rap"},
@@ -31,10 +29,37 @@ constexpr std::pair<System, const char *> kSystemIds[] = {
     {System::TorchArrowCpu, "torcharrow_cpu"},
 };
 
-// The shared optional-field dialect: absent and null both read back
-// as "never measured" (common/serial.hpp).
-using serial::getOptionalNumber;
-using serial::setOptionalNumber;
+constexpr auto kRunReportFields = [](auto &r, auto &v) {
+    v.schema("rap.run_report.v1");
+    v("system", r.system);
+    v("gpuCount", r.gpuCount);
+    v("batchPerGpu", r.batchPerGpu);
+    v("avgIterationLatency", r.avgIterationLatency);
+    v("throughput", r.throughput);
+    v("avgSmUtil", r.avgSmUtil);
+    v("avgBwUtil", r.avgBwUtil);
+    v("avgGpuBusy", r.avgGpuBusy);
+    v("p2pBytes", r.p2pBytes);
+    v("preprocKernelsPerIter", r.preprocKernelsPerIter);
+    v("predictedExposed", r.predictedExposed);
+    v("preprocLatencyPerIter", r.preprocLatencyPerIter);
+    v("makespan", r.makespan);
+    v("replans", r.replans);
+    v("kernelRetries", r.kernelRetries);
+    v("retryBackoffSeconds", r.retryBackoffSeconds);
+    v("lostWork", r.lostWork);
+    v("checkpointOverhead", r.checkpointOverhead);
+    v("recoveries", r.recoveries);
+    v("ingestEvents", r.ingestEvents);
+    v("ingestDropped", r.ingestDropped);
+    v("ingestSpilled", r.ingestSpilled);
+    v("ingestBatches", r.ingestBatches);
+    v("ingestStagingP99", r.ingestStagingP99);
+    v("ingestLastReadyAt", r.ingestLastReadyAt);
+    v("submittedAt", r.submittedAt);
+    v("startedAt", r.startedAt);
+    v("finishedAt", r.finishedAt);
+};
 
 } // namespace
 
@@ -61,90 +86,13 @@ systemFromId(const std::string &id)
 Json
 RunReport::toJson() const
 {
-    Json json = Json::object();
-    serial::stampSchema(json, kRunReportSchema);
-    json.set("system", Json(system));
-    json.set("gpuCount", Json(gpuCount));
-    json.set("batchPerGpu", Json(batchPerGpu));
-    json.set("avgIterationLatency", Json(avgIterationLatency));
-    json.set("throughput", Json(throughput));
-    json.set("avgSmUtil", Json(avgSmUtil));
-    json.set("avgBwUtil", Json(avgBwUtil));
-    json.set("avgGpuBusy", Json(avgGpuBusy));
-    json.set("p2pBytes", Json(p2pBytes));
-    json.set("preprocKernelsPerIter", Json(preprocKernelsPerIter));
-    json.set("predictedExposed", Json(predictedExposed));
-    json.set("preprocLatencyPerIter", Json(preprocLatencyPerIter));
-    json.set("makespan", Json(makespan));
-    json.set("replans", Json(replans));
-    json.set("kernelRetries", Json(kernelRetries));
-    json.set("retryBackoffSeconds", Json(retryBackoffSeconds));
-    json.set("lostWork", Json(lostWork));
-    json.set("checkpointOverhead", Json(checkpointOverhead));
-    json.set("recoveries", Json(recoveries));
-    json.set("ingestEvents", Json(ingestEvents));
-    json.set("ingestDropped", Json(ingestDropped));
-    json.set("ingestSpilled", Json(ingestSpilled));
-    json.set("ingestBatches", Json(ingestBatches));
-    json.set("ingestStagingP99", Json(ingestStagingP99));
-    json.set("ingestLastReadyAt", Json(ingestLastReadyAt));
-    setOptionalNumber(json, "submittedAt", submittedAt);
-    setOptionalNumber(json, "startedAt", startedAt);
-    setOptionalNumber(json, "finishedAt", finishedAt);
-    return json;
+    return serial::write(*this, kRunReportFields);
 }
 
 RunReport
 RunReport::fromJson(const Json &json)
 {
-    serial::requireSchema(json, kRunReportSchema);
-    RunReport report;
-    report.system = json.at("system").asString();
-    report.gpuCount = static_cast<int>(json.at("gpuCount").asDouble());
-    report.batchPerGpu =
-        static_cast<std::int64_t>(json.at("batchPerGpu").asDouble());
-    report.avgIterationLatency =
-        json.at("avgIterationLatency").asDouble();
-    report.throughput = json.at("throughput").asDouble();
-    report.avgSmUtil = json.at("avgSmUtil").asDouble();
-    report.avgBwUtil = json.at("avgBwUtil").asDouble();
-    report.avgGpuBusy = json.at("avgGpuBusy").asDouble();
-    report.p2pBytes = json.at("p2pBytes").asDouble();
-    report.preprocKernelsPerIter =
-        json.at("preprocKernelsPerIter").asDouble();
-    report.predictedExposed = json.at("predictedExposed").asDouble();
-    report.preprocLatencyPerIter =
-        json.at("preprocLatencyPerIter").asDouble();
-    report.makespan = json.at("makespan").asDouble();
-    report.replans = static_cast<int>(json.at("replans").asDouble());
-    report.kernelRetries = static_cast<std::uint64_t>(
-        json.at("kernelRetries").asDouble());
-    report.retryBackoffSeconds =
-        json.at("retryBackoffSeconds").asDouble();
-    report.lostWork = json.at("lostWork").asDouble();
-    report.checkpointOverhead =
-        json.at("checkpointOverhead").asDouble();
-    report.recoveries =
-        static_cast<int>(json.at("recoveries").asDouble());
-    // Ingest fields postdate older stored reports; default to zero.
-    const auto counter = [&json](const char *key) {
-        const Json *value = json.find(key);
-        return value == nullptr
-                   ? std::uint64_t{0}
-                   : static_cast<std::uint64_t>(value->asDouble());
-    };
-    report.ingestEvents = counter("ingestEvents");
-    report.ingestDropped = counter("ingestDropped");
-    report.ingestSpilled = counter("ingestSpilled");
-    report.ingestBatches = counter("ingestBatches");
-    if (const Json *value = json.find("ingestStagingP99"))
-        report.ingestStagingP99 = value->asDouble();
-    if (const Json *value = json.find("ingestLastReadyAt"))
-        report.ingestLastReadyAt = value->asDouble();
-    report.submittedAt = getOptionalNumber(json, "submittedAt");
-    report.startedAt = getOptionalNumber(json, "startedAt");
-    report.finishedAt = getOptionalNumber(json, "finishedAt");
-    return report;
+    return serial::read<RunReport>(json, kRunReportFields, "RunReport");
 }
 
 } // namespace rap::core

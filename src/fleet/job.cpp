@@ -6,6 +6,7 @@
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 
 namespace rap::fleet {
 
@@ -32,6 +33,38 @@ drawGpuRequest(Rng &rng, int max_gpus)
     }
     return std::min(pick, max_gpus);
 }
+
+constexpr auto kRequestsFields = [](auto &r, auto &v) {
+    v("qps", r.qps);
+    v("qpsAmplitude", r.qpsAmplitude);
+    v("qpsPeriod", r.qpsPeriod);
+    v("duration", r.duration);
+    // Request seeds are masked to 53 bits at synthesis, so the double
+    // round trip is exact.
+    v("seed", r.seed);
+};
+
+constexpr auto kWindowFields = [](auto &w, auto &v) {
+    v("maxBatch", w.maxBatch);
+    v("maxWait", w.maxWait);
+};
+
+constexpr auto kJobSpecFields = [](auto &s, auto &v) {
+    v("id", s.id);
+    v("name", s.name);
+    v("arrival", s.arrival);
+    v("gpusRequested", s.gpusRequested);
+    v("planId", s.planId);
+    v("ngramStress", s.ngramStress);
+    v("batchPerGpu", s.batchPerGpu);
+    v("iterations", s.iterations);
+    v("system", s.system, serial::Token{core::systemId, core::systemFromId});
+    v("checkpointInterval", s.checkpointInterval);
+    v("kind", s.kind, serial::Token{jobKindId, jobKindFromId});
+    v("requests", s.requests, serial::Object{kRequestsFields});
+    v("window", s.window, serial::Object{kWindowFields});
+    v("sloLatency", s.sloLatency);
+};
 
 } // namespace
 
@@ -75,77 +108,13 @@ JobSpec::variantKey() const
 Json
 JobSpec::toJson() const
 {
-    Json json = Json::object();
-    json.set("id", Json(id));
-    json.set("name", Json(name));
-    json.set("arrival", Json(arrival));
-    json.set("gpusRequested", Json(gpusRequested));
-    json.set("planId", Json(planId));
-    json.set("ngramStress", Json(ngramStress));
-    json.set("batchPerGpu", Json(batchPerGpu));
-    json.set("iterations", Json(iterations));
-    json.set("system", Json(core::systemId(system)));
-    json.set("checkpointInterval", Json(checkpointInterval));
-    json.set("kind", Json(jobKindId(kind)));
-    Json requests_json = Json::object();
-    requests_json.set("qps", Json(requests.qps));
-    requests_json.set("qpsAmplitude", Json(requests.qpsAmplitude));
-    requests_json.set("qpsPeriod", Json(requests.qpsPeriod));
-    requests_json.set("duration", Json(requests.duration));
-    // Request seeds are masked to 53 bits at synthesis, so the double
-    // round trip below is exact.
-    requests_json.set("seed", Json(requests.seed));
-    json.set("requests", std::move(requests_json));
-    Json window_json = Json::object();
-    window_json.set("maxBatch", Json(window.maxBatch));
-    window_json.set("maxWait", Json(window.maxWait));
-    json.set("window", std::move(window_json));
-    json.set("sloLatency", Json(sloLatency));
-    return json;
+    return serial::write(*this, kJobSpecFields);
 }
 
 JobSpec
 JobSpec::fromJson(const Json &json)
 {
-    if (!json.isObject())
-        RAP_FATAL("JobSpec JSON must be an object");
-    JobSpec spec;
-    spec.id = static_cast<int>(json.at("id").asDouble());
-    spec.name = json.at("name").asString();
-    spec.arrival = json.at("arrival").asDouble();
-    spec.gpusRequested =
-        static_cast<int>(json.at("gpusRequested").asDouble());
-    spec.planId = static_cast<int>(json.at("planId").asDouble());
-    spec.ngramStress =
-        static_cast<int>(json.at("ngramStress").asDouble());
-    spec.batchPerGpu =
-        static_cast<std::int64_t>(json.at("batchPerGpu").asDouble());
-    spec.iterations =
-        static_cast<int>(json.at("iterations").asDouble());
-    const auto system =
-        core::systemFromId(json.at("system").asString());
-    if (!system) {
-        RAP_FATAL("unknown system id '", json.at("system").asString(),
-                  "' in JobSpec JSON");
-    }
-    spec.system = *system;
-    spec.checkpointInterval =
-        static_cast<int>(json.at("checkpointInterval").asDouble());
-    spec.kind = jobKindFromId(json.at("kind").asString());
-    const Json &requests = json.at("requests");
-    spec.requests.qps = requests.at("qps").asDouble();
-    spec.requests.qpsAmplitude =
-        requests.at("qpsAmplitude").asDouble();
-    spec.requests.qpsPeriod = requests.at("qpsPeriod").asDouble();
-    spec.requests.duration = requests.at("duration").asDouble();
-    spec.requests.seed = static_cast<std::uint64_t>(
-        requests.at("seed").asDouble());
-    const Json &window = json.at("window");
-    spec.window.maxBatch =
-        static_cast<int>(window.at("maxBatch").asDouble());
-    spec.window.maxWait = window.at("maxWait").asDouble();
-    spec.sloLatency = json.at("sloLatency").asDouble();
-    return spec;
+    return serial::read<JobSpec>(json, kJobSpecFields, "JobSpec");
 }
 
 std::vector<JobSpec>

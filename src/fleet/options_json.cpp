@@ -13,31 +13,30 @@
 
 namespace rap::fleet {
 
+namespace {
+
+constexpr auto kFleetOptionsFields = [](auto &o, auto &v) {
+    v("placement", o.placement);
+    v("node", o.node);
+    v("faults", o.faults);
+    v("requeueOnDegrade", o.requeueOnDegrade);
+    v("restartOverhead", o.restartOverhead);
+    v("tracePrefix", o.tracePrefix);
+};
+
+} // namespace
+
 Json
 fleetOptionsToJson(const FleetOptions &options)
 {
-    Json json = Json::object();
-    json.set("placement", options.placement.toJson());
-    json.set("node", options.node.toJson());
-    json.set("faults", options.faults.toJson());
-    json.set("requeueOnDegrade", Json(options.requeueOnDegrade));
-    json.set("restartOverhead", Json(options.restartOverhead));
-    json.set("tracePrefix", Json(options.tracePrefix));
-    return json;
+    return serial::write(options, kFleetOptionsFields);
 }
 
 FleetOptions
 fleetOptionsFromJson(const Json &json)
 {
-    FleetOptions options;
-    options.placement =
-        PlacementOptions::fromJson(json.at("placement"));
-    options.node = sim::ClusterSpec::fromJson(json.at("node"));
-    options.faults = sim::FaultSpec::fromJson(json.at("faults"));
-    options.requeueOnDegrade = json.at("requeueOnDegrade").asBool();
-    options.restartOverhead = json.at("restartOverhead").asDouble();
-    options.tracePrefix = json.at("tracePrefix").asString();
-    return options;
+    return serial::read<FleetOptions>(json, kFleetOptionsFields,
+                                      "FleetOptions");
 }
 
 } // namespace rap::fleet

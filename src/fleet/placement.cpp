@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "common/serial.hpp"
 
 namespace rap::fleet {
 
@@ -42,6 +43,23 @@ pickTop(std::vector<Candidate> candidates, int count,
     return placement;
 }
 
+constexpr auto kEnvelopeFields = [](auto &e, auto &v) {
+    v("sm", e.sm);
+    v("bw", e.bw);
+};
+
+constexpr auto kPlacementFields = [](auto &p, auto &v) {
+    v("gpuIds", p.gpuIds);
+    v("envelopes", p.envelopes, serial::Object{kEnvelopeFields});
+};
+
+constexpr auto kOptionsFields = [](auto &o, auto &v) {
+    v("policy", o.policy, serial::Token{policyId, policyFromId});
+    v("headroom", o.headroom);
+    v("minEnvelope", o.minEnvelope);
+    v("demandScale", o.demandScale);
+};
+
 } // namespace
 
 std::string
@@ -75,61 +93,26 @@ policyId(PlacementPolicy policy)
 Json
 Placement::toJson() const
 {
-    Json json = Json::object();
-    Json ids = Json::array();
-    for (int id : gpuIds)
-        ids.push(Json(id));
-    json.set("gpuIds", std::move(ids));
-    Json envs = Json::array();
-    for (const auto &env : envelopes) {
-        Json entry = Json::object();
-        entry.set("sm", Json(env.sm));
-        entry.set("bw", Json(env.bw));
-        envs.push(std::move(entry));
-    }
-    json.set("envelopes", std::move(envs));
-    return json;
+    return serial::write(*this, kPlacementFields);
 }
 
 Placement
 Placement::fromJson(const Json &json)
 {
-    if (!json.isObject())
-        RAP_FATAL("Placement JSON must be an object");
-    Placement placement;
-    for (const Json &id : json.at("gpuIds").elements())
-        placement.gpuIds.push_back(static_cast<int>(id.asDouble()));
-    for (const Json &entry : json.at("envelopes").elements()) {
-        core::GpuEnvelope env;
-        env.sm = entry.at("sm").asDouble();
-        env.bw = entry.at("bw").asDouble();
-        placement.envelopes.push_back(env);
-    }
-    return placement;
+    return serial::read<Placement>(json, kPlacementFields, "Placement");
 }
 
 Json
 PlacementOptions::toJson() const
 {
-    Json json = Json::object();
-    json.set("policy", Json(policyId(policy)));
-    json.set("headroom", Json(headroom));
-    json.set("minEnvelope", Json(minEnvelope));
-    json.set("demandScale", Json(demandScale));
-    return json;
+    return serial::write(*this, kOptionsFields);
 }
 
 PlacementOptions
 PlacementOptions::fromJson(const Json &json)
 {
-    if (!json.isObject())
-        RAP_FATAL("PlacementOptions JSON must be an object");
-    PlacementOptions options;
-    options.policy = policyFromId(json.at("policy").asString());
-    options.headroom = json.at("headroom").asDouble();
-    options.minEnvelope = json.at("minEnvelope").asDouble();
-    options.demandScale = json.at("demandScale").asDouble();
-    return options;
+    return serial::read<PlacementOptions>(json, kOptionsFields,
+                                          "PlacementOptions");
 }
 
 PlacementPolicy

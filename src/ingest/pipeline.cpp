@@ -11,6 +11,7 @@
 
 #include "common/lockfree_queue.hpp"
 #include "common/log.hpp"
+#include "common/serial.hpp"
 #include "common/stats.hpp"
 #include "ingest/stream.hpp"
 
@@ -18,35 +19,46 @@ namespace rap::ingest {
 
 namespace {
 
-std::string
-hex(std::uint64_t value)
+/** Seconds written as microseconds (write-only). */
+struct Micros
 {
-    char buf[17];
-    const auto result =
-        std::to_chars(buf, buf + sizeof(buf), value, 16);
-    return std::string(buf, result.ptr);
-}
+    Json write(double seconds) const { return Json(seconds * 1e6); }
+};
+
+/** A digest written as lowercase hex (write-only). */
+struct Hex
+{
+    Json
+    write(std::uint64_t value) const
+    {
+        char buf[17];
+        const auto result =
+            std::to_chars(buf, buf + sizeof(buf), value, 16);
+        return Json(std::string(buf, result.ptr));
+    }
+};
+
+constexpr auto kReportFields = [](auto &r, auto &v) {
+    v("events", r.events);
+    v("dropped", r.dropped);
+    v("spilled", r.spilled);
+    v("replayed", r.replayed);
+    v("batches", r.batches);
+    v("rows_staged", r.rowsStaged);
+    v("staging_p50_us", r.p50, Micros{});
+    v("staging_p95_us", r.p95, Micros{});
+    v("staging_p99_us", r.p99, Micros{});
+    v("max_queue_depth", r.maxQueueDepth);
+    v("last_ready_at", r.lastReadyAt);
+    v("checksum", r.checksum, Hex{});
+};
 
 } // namespace
 
 Json
 IngestReport::toJson() const
 {
-    Json out = Json::object();
-    out.set("events", Json(events));
-    out.set("dropped", Json(dropped));
-    out.set("spilled", Json(spilled));
-    out.set("replayed", Json(replayed));
-    out.set("batches", Json(batches));
-    out.set("rows_staged", Json(rowsStaged));
-    out.set("staging_p50_us", Json(p50 * 1e6));
-    out.set("staging_p95_us", Json(p95 * 1e6));
-    out.set("staging_p99_us", Json(p99 * 1e6));
-    out.set("max_queue_depth",
-            Json(static_cast<std::uint64_t>(maxQueueDepth)));
-    out.set("last_ready_at", Json(lastReadyAt));
-    out.set("checksum", Json(hex(checksum)));
-    return out;
+    return serial::write(*this, kReportFields);
 }
 
 IngestPipeline::IngestPipeline(IngestConfig config)
