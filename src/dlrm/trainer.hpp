@@ -78,9 +78,6 @@ class TrainingDriver
     /** @return Event fired when iteration @p iter ends on @p gpu. */
     sim::SimEventPtr iterEnd(int gpu, int iter) const;
 
-    /** @return The training stream of @p gpu. */
-    sim::Stream &trainStream(int gpu);
-
     int iterationsPushed() const { return iterations_; }
 
     /** @return Observed span of one op (valid after the sim ran). */

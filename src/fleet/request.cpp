@@ -112,16 +112,6 @@ core::ValidationResult
 FleetRequest::validate() const
 {
     core::ValidationResult result = validateRun(jobs_, options_);
-    if (crashFaults_) {
-        if (!(crashMtbf_ > 0.0)) {
-            result.addError("crashFaults.mtbf",
-                            "crash schedule needs a positive MTBF");
-        }
-        if (!(crashHorizon_ > 0.0)) {
-            result.addError("crashFaults.horizon",
-                            "crash schedule needs a positive horizon");
-        }
-    }
     if (compactEvery_ < 0)
         result.addError("compactEvery", "must be >= 0 (0 = never)");
     if (options_.stopAfterEvents < 0)
@@ -153,13 +143,6 @@ FleetRequest::run(ThreadPool *pool)
     if (!result.ok())
         RAP_FATAL("invalid fleet request:\n", result.render());
     FleetOptions options = options_;
-    if (crashFaults_) {
-        const auto crashes =
-            sim::makeCrashTrace(crashMtbf_, crashSeed_, crashHorizon_,
-                                options.node.gpuCount);
-        options.faults.events.insert(options.faults.events.end(),
-                                     crashes.begin(), crashes.end());
-    }
     if (!catalogDir_.empty()) {
         ctrl::CatalogOptions catalog_options;
         catalog_options.dir = catalogDir_;

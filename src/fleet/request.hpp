@@ -64,22 +64,6 @@ class FleetRequest
         return *this;
     }
 
-    /**
-     * Synthesize seeded DeviceCrash events (sim::makeCrashTrace) at
-     * run() time. validate() rejects a non-positive MTBF or horizon —
-     * the crash schedule is Poisson with mean @p mtbf, so clamping
-     * would silently change the experiment.
-     */
-    FleetRequest &
-    crashFaults(Seconds mtbf, std::uint64_t seed, Seconds horizon)
-    {
-        crashMtbf_ = mtbf;
-        crashSeed_ = seed;
-        crashHorizon_ = horizon;
-        crashFaults_ = true;
-        return *this;
-    }
-
     FleetRequest &
     requeueOnDegrade(bool on)
     {
@@ -186,10 +170,6 @@ class FleetRequest
     std::string catalogDir_;
     bool fsyncOnCommit_ = false;
     int compactEvery_ = 0;
-    bool crashFaults_ = false;
-    Seconds crashMtbf_ = 0.0;
-    std::uint64_t crashSeed_ = 0;
-    Seconds crashHorizon_ = 0.0;
     /** Catalog opened by run() for catalogDir() requests. */
     std::unique_ptr<ctrl::Catalog> ownedCatalog_;
     bool stopped_ = false;

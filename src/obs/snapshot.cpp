@@ -1,7 +1,6 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 
 #include "common/log.hpp"
@@ -163,19 +162,6 @@ seriesCsv(const MetricRegistry &registry)
         }
     }
     return out;
-}
-
-void
-writeSeriesCsv(const MetricRegistry &registry, const std::string &path)
-{
-    std::ofstream file(path);
-    if (!file)
-        RAP_FATAL("cannot open '", path, "' for writing");
-    const std::string text = seriesCsv(registry);
-    file.write(text.data(),
-               static_cast<std::streamsize>(text.size()));
-    if (!file)
-        RAP_FATAL("failed writing '", path, "'");
 }
 
 } // namespace rap::obs

@@ -64,10 +64,6 @@ void writeSnapshot(const MetricRegistry &registry,
  */
 std::string seriesCsv(const MetricRegistry &registry);
 
-/** Write seriesCsv to @p path; fatal on I/O failure. */
-void writeSeriesCsv(const MetricRegistry &registry,
-                    const std::string &path);
-
 } // namespace rap::obs
 
 #endif // RAP_OBS_SNAPSHOT_HPP
