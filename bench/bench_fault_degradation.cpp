@@ -139,13 +139,12 @@ main(int argc, char **argv)
             config.faults = scenario.faults;
             config.metrics = metrics;
             config.replanOnDrift = false;
-            config.metricsScope =
-                "f" + std::to_string(i) + ".stale";
+            std::string scope = "f";
+            scope += std::to_string(i);
+            config.metricsScope = scope + ".stale";
             const auto stale = core::runSystem(config, plan);
             config.replanOnDrift = true;
-            config.replanMapping = true;
-            config.metricsScope =
-                "f" + std::to_string(i) + ".replanned";
+            config.metricsScope = scope + ".replanned";
             const auto replanned = core::runSystem(config, plan);
 
             const Seconds lost = stale.makespan - healthy.makespan;

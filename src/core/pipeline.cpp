@@ -23,18 +23,20 @@ constexpr int kTorchArrowWorkersPerGpu = 8;
 constexpr int kCoresPerWorker = 4;
 /** Relative iteration-latency drift that triggers a replan. */
 constexpr double kReplanDriftThreshold = 0.15;
+/** Batches pushed ahead of the trainer; a replan splices in after them. */
+constexpr int kPushAhead = 3;
+/** Iterations after a replan before drift may trigger another. */
+constexpr int kReplanCooldown = 3;
 
 /**
- * Labels for this run's instruments: the configured `run=` scope (when
- * set) plus any extra pairs. Sweep benches sharing one registry across
- * pool workers rely on the scope to keep instruments single-strand.
+ * Labels for this run's instruments: the configured `run=` scope, when
+ * set. Sweep benches sharing one registry across pool workers rely on
+ * the scope to keep instruments single-strand.
  */
 obs::Labels
-runLabels(const SystemConfig &config,
-          std::initializer_list<std::pair<std::string, std::string>>
-              extra = {})
+runLabels(const SystemConfig &config)
 {
-    obs::Labels labels(extra);
+    obs::Labels labels;
     if (!config.metricsScope.empty())
         labels.set("run", config.metricsScope);
     return labels;
@@ -322,6 +324,15 @@ applyRecovery(const SystemConfig &sys, RunReport &report,
     }
 }
 
+/** @return Iteration @p j's interval on GPU @p g, from j - 1's end. */
+Seconds
+iterationInterval(const dlrm::TrainingDriver &driver, int g, int j)
+{
+    const auto &span = driver.iterationSpan(g, j);
+    return j >= 1 ? span.end - driver.iterationSpan(g, j - 1).end
+                  : span.end - span.start;
+}
+
 /**
  * Record the run's per-iteration observability after the simulation
  * drained: iteration-interval series + fixed-bucket histogram, exposed
@@ -351,10 +362,8 @@ recordIterationMetrics(const SystemConfig &config, sim::Cluster &cluster,
         auto &intervals =
             metrics->series("train.iteration_interval", labels);
         for (int j = 0; j < config.iterations; ++j) {
-            const auto span = driver.iterationSpan(g, j);
-            const Seconds interval =
-                j >= 1 ? span.end - driver.iterationSpan(g, j - 1).end
-                       : span.end - span.start;
+            const auto &span = driver.iterationSpan(g, j);
+            const Seconds interval = iterationInterval(driver, g, j);
             intervals.append(j, interval);
             histogram.observe(interval);
             metrics->recordSimSpan("train.iteration", labels,
@@ -627,25 +636,98 @@ systemName(System system)
 
 namespace {
 
-/** planOffline's body, for a configuration already validated. */
-OfflinePlan
-planValidated(const SystemConfig &config, const preproc::PreprocPlan &plan,
-              ThreadPool *pool)
+/**
+ * The planning chain of a GPU-preprocessing run (paper Algorithm 1 plus
+ * the §6-§7 searches): the mapping search, then per GPU the fusion MILP
+ * and the co-run schedule. The offline pass and every drift replan run
+ * this one chain, so a replan reruns the run's own mapping strategy.
+ * Per-GPU work runs on the planning pool (serial when null) and is
+ * reduced in GPU order, so plans are bit-identical at any thread count.
+ */
+struct Planner
 {
+    Planner(const SystemConfig &run_config, const preproc::PreprocPlan &plan,
+            ThreadPool *planning_pool)
+        : config(run_config), pool(planning_pool),
+          traits(traitsFor(config.system)),
+          clusterSpec(clusterSpecFor(config)),
+          sharding(makeSharding(config, plan)),
+          fusion(clusterSpec.gpu, config.predictor,
+                 FusionOptions{config.solver, traits.fusion}),
+          mapper(plan, sharding, clusterSpec, config.batchPerGpu)
+    {
+    }
+
+    /** Map the preprocessing graph with the run's strategy. */
+    GraphMapping
+    map(const std::vector<CapacityProfile> &profiles,
+        MappingSearchStats *stats = nullptr) const
+    {
+        const MappingStrategy strategy =
+            config.forcedMapping.value_or(traits.mapping);
+        return strategy == MappingStrategy::Rap
+                   ? mapper.mapRap(profiles, fusion, /*max_moves=*/64, pool,
+                                   stats)
+                   : mapper.map(strategy);
+    }
+
+    /** Fuse and schedule each GPU's graph under @p mapping. */
+    std::vector<CoRunSchedule>
+    schedule(const GraphMapping &mapping,
+             const std::vector<CapacityProfile> &profiles) const
+    {
+        CoRunScheduler scheduler(fusion);
+        std::vector<CoRunSchedule> schedules(
+            static_cast<std::size_t>(config.gpuCount));
+        auto planGpu = [&](std::size_t g) {
+            auto kernels = fusion.plan(
+                mapper.buildGpuGraph(mapping, static_cast<int>(g)),
+                config.batchPerGpu);
+            if (traits.capacityScheduling) {
+                schedules[g] =
+                    scheduler.schedule(std::move(kernels), profiles[g]);
+                return;
+            }
+            // Baselines launch kernels back-to-back from iteration
+            // start without capacity awareness.
+            for (auto &k : kernels) {
+                schedules[g].totalPreprocLatency += k.predictedLatency;
+                schedules[g].kernels.push_back(
+                    ScheduledKernel{std::move(k), 0, false});
+            }
+        };
+        if (pool != nullptr)
+            pool->parallelFor(schedules.size(), planGpu);
+        else
+            for (std::size_t g = 0; g < schedules.size(); ++g)
+                planGpu(g);
+        return schedules;
+    }
+
+    const SystemConfig &config;
+    ThreadPool *pool;
+    GpuSystemTraits traits;
+    sim::ClusterSpec clusterSpec;
+    dlrm::EmbeddingSharding sharding;
+    HorizontalFusionPlanner fusion;
+    GraphMapper mapper;
+};
+
+/** The offline pass: profile capacities, then run @p planner's chain. */
+OfflinePlan
+planValidated(const Planner &planner, const preproc::PreprocPlan &plan)
+{
+    const SystemConfig &config = planner.config;
     obs::MetricRegistry *metrics = config.metrics;
     const auto labels = runLabels(config);
     obs::Span plan_span(metrics, "plan.offline", labels);
 
-    const auto traits = traitsFor(config.system);
-    const auto cluster_spec = clusterSpecFor(config);
-    const auto dlrm_config = modelConfigFor(config, plan);
-    const auto sharding = makeSharding(config, plan);
-
     OfflinePlan offline;
     {
         obs::Span span(metrics, "plan.profile", labels);
-        OverlappingCapacityEstimator estimator(cluster_spec,
-                                               dlrm_config, sharding);
+        OverlappingCapacityEstimator estimator(planner.clusterSpec,
+                                               modelConfigFor(config, plan),
+                                               planner.sharding);
         offline.profiles = estimator.profileAll();
     }
     // Envelope-shared co-location: the job only owns a slice of each
@@ -659,63 +741,20 @@ planValidated(const SystemConfig &config, const preproc::PreprocPlan &plan,
                            config.envelopes[g].bw);
     }
 
-    FusionOptions fusion_options;
-    fusion_options.solver = config.solver;
-    fusion_options.enableFusion = traits.fusion;
-    HorizontalFusionPlanner planner(cluster_spec.gpu, config.predictor,
-                                    fusion_options);
-    GraphMapper mapper(plan, sharding, cluster_spec,
-                       config.batchPerGpu);
-
-    const MappingStrategy strategy =
-        config.forcedMapping.value_or(traits.mapping);
     MappingSearchStats mapping_stats;
     {
         obs::Span span(metrics, "plan.mapping", labels);
-        offline.mapping =
-            strategy == MappingStrategy::Rap
-                ? mapper.mapRap(offline.profiles, planner,
-                                /*max_moves=*/64, pool, &mapping_stats)
-                : mapper.map(strategy);
+        offline.mapping = planner.map(offline.profiles, &mapping_stats);
     }
-
-    // Per-GPU plan + schedule: independent given the mapping and the
-    // profiles (planner, mapper, and scheduler are all const here), so
-    // each GPU runs as one pool task writing its own slot.
-    CoRunScheduler scheduler(planner);
-    const auto gpu_count = static_cast<std::size_t>(config.gpuCount);
-    offline.schedules.resize(gpu_count);
-    auto planGpu = [&](std::size_t g) {
-        auto kernels = planner.plan(
-            mapper.buildGpuGraph(offline.mapping, static_cast<int>(g)),
-            config.batchPerGpu);
-        if (traits.capacityScheduling) {
-            offline.schedules[g] = scheduler.schedule(
-                std::move(kernels), offline.profiles[g]);
-        } else {
-            // Baselines launch kernels back-to-back from iteration
-            // start without capacity awareness.
-            CoRunSchedule schedule;
-            for (auto &k : kernels) {
-                schedule.totalPreprocLatency += k.predictedLatency;
-                schedule.kernels.push_back(
-                    ScheduledKernel{std::move(k), 0, false});
-            }
-            offline.schedules[g] = std::move(schedule);
-        }
-    };
     {
         obs::Span span(metrics, "plan.schedule", labels);
-        if (pool != nullptr)
-            pool->parallelFor(gpu_count, planGpu);
-        else
-            for (std::size_t g = 0; g < gpu_count; ++g)
-                planGpu(g);
+        offline.schedules =
+            planner.schedule(offline.mapping, offline.profiles);
     }
 
     if (metrics != nullptr) {
         metrics->counter("plan.milp.nodes_explored", labels)
-            .inc(planner.milpNodesExplored());
+            .inc(planner.fusion.milpNodesExplored());
         metrics->counter("plan.mapping.moves_accepted", labels)
             .inc(static_cast<std::uint64_t>(mapping_stats.movesAccepted));
         metrics->counter("plan.mapping.moves_evaluated", labels)
@@ -876,236 +915,280 @@ runTorchArrow(const SystemConfig &config, const preproc::PreprocPlan &plan)
     return run.finish(std::move(report));
 }
 
-RunReport
-runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
+/**
+ * The online phase's batch feeder. Each GPU keeps its host-prep, copy
+ * and preprocessing streams across batches; batch work is pushed a few
+ * batches ahead of the trainer, so a replan splices its plan in at the
+ * next batch boundary. Iteration j's input barrier waits for every
+ * GPU's batch j (plus staged batch j under streaming ingest). HybridRap
+ * first moves the schedules' overflow to host CPU workers (§10) and
+ * joins each batch's CPU half with its GPU half.
+ */
+struct BatchFeeder
 {
-    const auto traits = traitsFor(config.system);
-    const auto cluster_spec = clusterSpecFor(config);
-
-    // ---- Offline phase: capacity profiles + plan search, fanned out
-    // over the planning pool (serial when planningThreads == 1). ----
-    std::unique_ptr<ThreadPool> pool;
-    if (config.planningThreads != 1)
-        pool = std::make_unique<ThreadPool>(config.planningThreads);
-    OfflinePlan offline = planValidated(config, plan, pool.get());
-    const auto &profiles = offline.profiles;
-    auto &mapping = offline.mapping; // replaced on a mapping replan
-    auto &schedules = offline.schedules;
-
-    FusionOptions fusion_options;
-    fusion_options.solver = config.solver;
-    fusion_options.enableFusion = traits.fusion;
-    HorizontalFusionPlanner planner(cluster_spec.gpu, config.predictor,
-                                    fusion_options);
-
-    const int hybrid_cores = std::max(
-        1, std::min(kTorchArrowWorkersPerGpu * kCoresPerWorker,
-                    cluster_spec.cpuCores / config.gpuCount));
-    const std::vector<Seconds> cpu_part_core_seconds =
-        config.system == System::HybridRap
-            ? offloadOverflowToCpu(offline, planner, hybrid_cores)
-            : std::vector<Seconds>(
-                  static_cast<std::size_t>(config.gpuCount), 0.0);
-
-    // ---- Online phase: co-running execution. ----
-    SimulatedRun run(config, plan);
-    auto &cluster = run.node.cluster;
-    auto &engine = cluster.engine();
-    auto &driver = run.driver;
-    const int n = config.iterations;
-    const int gpus = config.gpuCount;
-    obs::MetricRegistry *metrics = config.metrics;
-    const auto labels = runLabels(config);
-    GraphMapper mapper(plan, run.sharding, cluster_spec, config.batchPerGpu);
-
-    // Iteration j's input barrier waits for every GPU's batch j (plus
-    // staged batch j under streaming ingest).
-    InputGates gates(engine, gpus, n, /*gpu_parties=*/gpus, run.ingest);
-    run.start(&gates.ready);
-
-    // Per-GPU streams persist across batches: batch work is pushed
-    // incrementally (kPushAhead batches deep) so an online replan can
-    // splice a new schedule in at the next batch boundary.
-    struct GpuLane
+    BatchFeeder(SimulatedRun &sim_run, const Planner &run_planner,
+                OfflinePlan &plan)
+        : run(sim_run), planner(run_planner), offline(plan),
+          hybridCores(std::max(
+              1, std::min(kTorchArrowWorkersPerGpu * kCoresPerWorker,
+                          planner.clusterSpec.cpuCores /
+                              run.config.gpuCount))),
+          cpuPart(run.config.system == System::HybridRap
+                      ? offloadOverflowToCpu(offline, planner.fusion,
+                                             hybridCores)
+                      : std::vector<Seconds>(offline.schedules.size(), 0.0)),
+          gates(run.node.cluster.engine(), run.config.gpuCount,
+                run.config.iterations, run.config.gpuCount, run.ingest),
+          lanes(offline.schedules.size())
     {
-        sim::Stream *prep = nullptr;
-        sim::Stream *copy = nullptr;
-        sim::Stream *pre = nullptr;
-        /** Hybrid only: the CPU segment's worker and batch joins. */
-        sim::Stream *hybrid = nullptr;
-        std::vector<std::unique_ptr<InputBarrier>> joins;
-    };
-    std::vector<GpuLane> lanes(static_cast<std::size_t>(gpus));
-    for (int g = 0; g < gpus; ++g) {
-        auto &device = cluster.device(g);
-        auto &lane = lanes[static_cast<std::size_t>(g)];
-        lane.prep =
-            &cluster.host().newStream("prep.g" + std::to_string(g));
-        lane.copy =
-            &device.newStream("gpu" + std::to_string(g) + ".copy");
-        lane.pre = &device.newStream(
-            "gpu" + std::to_string(g) + ".preproc",
-            traits.preprocLaunchGroup, traits.preprocPriority);
+        run.start(&gates.ready);
+        auto &cluster = run.node.cluster;
+        for (int g = 0; g < run.config.gpuCount; ++g) {
+            auto &lane = lanes[static_cast<std::size_t>(g)];
+            const std::string gpu = "gpu" + std::to_string(g);
+            lane.prep = &cluster.host().newStream("prep.g" + std::to_string(g));
+            lane.copy = &cluster.device(g).newStream(gpu + ".copy");
+            lane.pre = &cluster.device(g).newStream(
+                gpu + ".preproc", planner.traits.preprocLaunchGroup,
+                planner.traits.preprocPriority);
+        }
+        reprice();
     }
 
-    // Host preparation cost and input-communication messages follow
-    // the current mapping and schedules; recomputed after a replan.
-    std::vector<Seconds> prep_cpu(static_cast<std::size_t>(gpus), 0.0);
-    std::vector<Bytes> prep_bytes(static_cast<std::size_t>(gpus), 0.0);
-    std::vector<std::vector<Bytes>> comm_messages(
-        static_cast<std::size_t>(gpus));
-    auto refreshMappingCosts = [&] {
-        for (int g = 0; g < gpus; ++g) {
-            const auto gi = static_cast<std::size_t>(g);
-            // Host preparation: per-kernel argument assembly plus one
-            // raw column staged over PCIe per mapped work item.
-            Seconds cpu = 0.0;
-            Bytes bytes = 0.0;
-            for (const auto &sk : schedules[gi].kernels)
-                cpu += sk.kernel.prepCpuSeconds;
-            for (const auto &item : mapping.itemsPerGpu[gi]) {
+    /**
+     * Price host preparation (per-kernel argument assembly plus one
+     * raw column staged over PCIe per mapped work item) and input
+     * communication (one message per remote-consumer item) under the
+     * current mapping and schedules.
+     */
+    void
+    reprice()
+    {
+        for (std::size_t g = 0; g < lanes.size(); ++g) {
+            auto &lane = lanes[g];
+            lane.prepCpu = 0.0;
+            lane.prepBytes = 0.0;
+            for (const auto &sk : offline.schedules[g].kernels)
+                lane.prepCpu += sk.kernel.prepCpuSeconds;
+            for (const auto &item : offline.mapping.itemsPerGpu[g]) {
                 // Column slicing + pinned-buffer staging is a
                 // memcpy-rate pass over the raw column (the Fig. 8
                 // preparation cost).
                 const Bytes raw =
-                    mapper.featureRawBytes(item.featureId);
-                cpu += 4e-6 + raw / 5e9;
-                bytes += raw;
+                    planner.mapper.featureRawBytes(item.featureId);
+                lane.prepCpu += 4e-6 + raw / 5e9;
+                lane.prepBytes += raw;
             }
-            prep_cpu[gi] = cpu;
-            prep_bytes[gi] = bytes;
-            // Input communication: one message per remote-consumer
-            // item (per-feature tensors are shipped individually).
-            comm_messages[gi] = mapper.remoteMessageSizes(mapping, g);
+            lane.messages = planner.mapper.remoteMessageSizes(
+                offline.mapping, static_cast<int>(g));
         }
-    };
-    refreshMappingCosts();
+    }
 
-    auto pushBatch = [&](int g, int j) {
-        const auto gi = static_cast<std::size_t>(g);
-        const auto &schedule = schedules[gi];
-        auto &prep_stream = *lanes[gi].prep;
-        auto &copy_stream = *lanes[gi].copy;
-        auto &pre_stream = *lanes[gi].pre;
+    /** Push batch @p j on every GPU. */
+    void
+    push(int j)
+    {
+        for (int g = 0; g < run.config.gpuCount; ++g)
+            pushBatch(g, j);
+    }
+
+    void
+    pushBatch(int g, int j)
+    {
+        const auto &traits = planner.traits;
+        auto &driver = run.driver;
+        auto &engine = run.node.cluster.engine();
+        auto &lane = lanes[static_cast<std::size_t>(g)];
+        const std::string tag = std::to_string(g) + "." + std::to_string(j);
 
         // --- Host data preparation + H2D staging for batch j. ---
-        auto prep_done = sim::makeEvent(
-            "prep.g" + std::to_string(g) + "." + std::to_string(j));
+        auto prep_done = sim::makeEvent("prep.g" + tag);
         // Interleaving starts the next batch's preparation one
         // iteration early (§6.3); without it, preparation waits
         // for the iteration the kernels will co-run with.
         const int prep_gate_iter =
-            config.interleave && traits.capacityScheduling ? j - 2
-                                                            : j - 1;
+            run.config.interleave && traits.capacityScheduling ? j - 2
+                                                                : j - 1;
         if (prep_gate_iter >= 0 && !traits.sequential)
-            prep_stream.pushWait(driver.opStart(g, prep_gate_iter, 0));
+            lane.prep->pushWait(driver.opStart(g, prep_gate_iter, 0));
         if (traits.sequential && j >= 1)
-            prep_stream.pushWait(driver.iterEnd(g, j - 1));
-        auto cpu_done = sim::makeEvent(
-            "prepcpu.g" + std::to_string(g) + "." + std::to_string(j));
-        prep_stream.pushCpuTask(prep_cpu[gi], 1);
-        prep_stream.pushRecord(cpu_done);
-        copy_stream.pushWait(cpu_done);
-        copy_stream.pushCopy(sim::CopyKind::HostToDevice,
-                             prep_bytes[gi]);
-        copy_stream.pushRecord(prep_done);
+            lane.prep->pushWait(driver.iterEnd(g, j - 1));
+        auto cpu_done = sim::makeEvent("prepcpu.g" + tag);
+        lane.prep->pushCpuTask(lane.prepCpu, 1);
+        lane.prep->pushRecord(cpu_done);
+        lane.copy->pushWait(cpu_done);
+        lane.copy->pushCopy(sim::CopyKind::HostToDevice, lane.prepBytes);
+        lane.copy->pushRecord(prep_done);
 
         // --- Preprocessing kernels for batch j. ---
-        pre_stream.pushWait(prep_done);
+        lane.pre->pushWait(prep_done);
         const int corun_iter = j - 1;
         if (traits.sequential && j >= 1) {
-            pre_stream.pushWait(driver.iterEnd(g, j - 1));
+            lane.pre->pushWait(driver.iterEnd(g, j - 1));
         } else if (!traits.capacityScheduling && corun_iter >= 0) {
-            pre_stream.pushWait(driver.opStart(g, corun_iter, 0));
+            lane.pre->pushWait(driver.opStart(g, corun_iter, 0));
         }
-        for (const auto &sk : schedule.kernels) {
-            if (traits.capacityScheduling && corun_iter >= 0) {
-                pre_stream.pushWait(
-                    driver.opStart(g, corun_iter, sk.opIndex));
-            }
+        for (const auto &sk :
+             offline.schedules[static_cast<std::size_t>(g)].kernels) {
+            if (traits.capacityScheduling && corun_iter >= 0)
+                lane.pre->pushWait(driver.opStart(g, corun_iter, sk.opIndex));
             if (traits.hostDispatch > 0.0)
-                pre_stream.pushDelay(traits.hostDispatch);
-            pre_stream.pushKernel(sk.kernel.kernel);
+                lane.pre->pushDelay(traits.hostDispatch);
+            lane.pre->pushKernel(sk.kernel.kernel);
         }
 
         // --- Input communication + readiness barrier. ---
-        auto batch_done = sim::makeEvent(
-            "batch.g" + std::to_string(g) + "." + std::to_string(j));
-        if (!comm_messages[gi].empty()) {
-            auto kernels_done = sim::makeEvent(
-                "kdone.g" + std::to_string(g) + "." +
-                std::to_string(j));
-            pre_stream.pushRecord(kernels_done);
-            copy_stream.pushWait(kernels_done);
-            for (Bytes message : comm_messages[gi]) {
-                copy_stream.pushCopy(sim::CopyKind::PeerToPeer,
-                                     message);
-            }
-            copy_stream.pushRecord(batch_done);
+        auto batch_done = sim::makeEvent("batch.g" + tag);
+        if (!lane.messages.empty()) {
+            auto kernels_done = sim::makeEvent("kdone.g" + tag);
+            lane.pre->pushRecord(kernels_done);
+            lane.copy->pushWait(kernels_done);
+            for (Bytes message : lane.messages)
+                lane.copy->pushCopy(sim::CopyKind::PeerToPeer, message);
+            lane.copy->pushRecord(batch_done);
         } else {
-            pre_stream.pushRecord(batch_done);
+            lane.pre->pushRecord(batch_done);
         }
         auto *barrier = gates.barriers[static_cast<std::size_t>(j)].get();
-        const Seconds cpu_part = cpu_part_core_seconds[gi];
-        if (cpu_part > 0.0) {
-            // Hybrid: the CPU segment runs on a dedicated worker
-            // pipeline; batch readiness joins both halves.
-            auto &lane = lanes[gi];
-            if (lane.hybrid == nullptr) {
-                lane.hybrid = &cluster.host().newStream(
-                    "hybrid.g" + std::to_string(g));
-            }
-            auto &worker = *lane.hybrid;
-            auto hybrid_cpu_done = sim::makeEvent(
-                "hybridcpu.g" + std::to_string(g) + "." +
-                std::to_string(j));
-            const int gate_iter = j - 2;
-            if (gate_iter >= 0)
-                worker.pushWait(driver.opStart(g, gate_iter, 0));
-            worker.pushCpuTask(cpu_part / hybrid_cores, hybrid_cores);
-            worker.pushRecord(hybrid_cpu_done);
-            lane.joins.push_back(std::make_unique<InputBarrier>(engine, 2));
-            auto *join = lane.joins.back().get();
-            // The joint completion reports to the global barrier.
-            auto joined = sim::makeEvent(
-                "hybridjoin.g" + std::to_string(g) + "." +
-                std::to_string(j));
-            join->addTarget(joined);
-            batch_done->addWaiter(engine, [join] { join->arrive(); });
-            hybrid_cpu_done->addWaiter(engine,
-                                       [join] { join->arrive(); });
-            joined->addWaiter(engine,
-                              [barrier] { barrier->arrive(); });
-        } else {
-            batch_done->addWaiter(engine,
-                                  [barrier] { barrier->arrive(); });
+        const Seconds cpu_part = cpuPart[static_cast<std::size_t>(g)];
+        if (cpu_part <= 0.0) {
+            batch_done->addWaiter(engine, [barrier] { barrier->arrive(); });
+            return;
         }
+        // Hybrid: the CPU segment runs on a dedicated worker pipeline;
+        // batch readiness joins both halves.
+        if (lane.hybrid == nullptr) {
+            lane.hybrid = &run.node.cluster.host().newStream(
+                "hybrid.g" + std::to_string(g));
+        }
+        auto hybrid_cpu_done = sim::makeEvent("hybridcpu.g" + tag);
+        if (j >= 2)
+            lane.hybrid->pushWait(driver.opStart(g, j - 2, 0));
+        lane.hybrid->pushCpuTask(cpu_part / hybridCores, hybridCores);
+        lane.hybrid->pushRecord(hybrid_cpu_done);
+        lane.joins.push_back(std::make_unique<InputBarrier>(engine, 2));
+        auto *join = lane.joins.back().get();
+        // The joint completion reports to the global barrier.
+        auto joined = sim::makeEvent("hybridjoin.g" + tag);
+        join->addTarget(joined);
+        batch_done->addWaiter(engine, [join] { join->arrive(); });
+        hybrid_cpu_done->addWaiter(engine, [join] { join->arrive(); });
+        joined->addWaiter(engine, [barrier] { barrier->arrive(); });
+    }
+
+    /** One GPU's persistent streams and per-batch costs. */
+    struct Lane
+    {
+        sim::Stream *prep = nullptr;
+        sim::Stream *copy = nullptr;
+        sim::Stream *pre = nullptr;
+        Seconds prepCpu = 0.0;
+        Bytes prepBytes = 0.0;
+        std::vector<Bytes> messages;
+        /** Hybrid only: the CPU segment's worker and batch joins. */
+        sim::Stream *hybrid = nullptr;
+        std::vector<std::unique_ptr<InputBarrier>> joins;
     };
 
-    // ---- Online monitor: drift detection + incremental replanning
-    // (fault-tolerance extension; see DESIGN.md). ----
-    const bool replan_enabled = config.replanOnDrift &&
-                                traits.capacityScheduling &&
-                                config.system != System::HybridRap;
-    std::vector<Seconds> predicted;
-    for (const auto &profile : profiles)
-        predicted.push_back(profile.iterationLatency);
-    int replans = 0;
-    int last_replan_iter = -1;
-    constexpr int kPushAhead = 3;
-    constexpr int kReplanCooldown = 3;
+    SimulatedRun &run;
+    const Planner &planner;
+    OfflinePlan &offline;
+    int hybridCores;
+    /** Per-GPU core-seconds of each batch moved to the CPU (hybrid). */
+    std::vector<Seconds> cpuPart;
+    InputGates gates;
+    std::vector<Lane> lanes;
+};
 
-    auto replan = [&](const std::vector<Seconds> &observed) {
-        obs::Span replan_span(metrics, "train.replan", labels);
+/**
+ * The online drift monitor (fault-tolerance extension; DESIGN §7). Once
+ * every GPU has finished iteration j, a tick compares each GPU's
+ * observed iteration interval with the prediction; past a 15% drift it
+ * reruns the planning chain over capacity profiles degraded to the
+ * devices' live envelopes. The tick then feeds batch j + kPushAhead,
+ * which uses whatever plan is current: the splice point.
+ */
+struct DriftMonitor
+{
+    DriftMonitor(SimulatedRun &sim_run, const Planner &run_planner,
+                 OfflinePlan &plan, BatchFeeder &batch_feeder)
+        : run(sim_run), planner(run_planner), offline(plan),
+          feeder(batch_feeder), labels(runLabels(run.config)),
+          enabled(run.config.replanOnDrift &&
+                  planner.traits.capacityScheduling &&
+                  run.config.system != System::HybridRap)
+    {
+        auto &engine = run.node.cluster.engine();
+        for (const auto &profile : offline.profiles)
+            predicted.push_back(profile.iterationLatency);
+        for (int j = 0; j < run.config.iterations - kPushAhead; ++j) {
+            const int gpus = run.config.gpuCount;
+            ticks.push_back(std::make_unique<InputBarrier>(engine, gpus));
+            auto fired = sim::makeEvent("monitor." + std::to_string(j));
+            ticks.back()->addTarget(fired);
+            fired->addWaiter(engine, [this, j] { tick(j); });
+            auto *bar = ticks.back().get();
+            for (int g = 0; g < gpus; ++g)
+                run.driver.iterEnd(g, j)->addWaiter(
+                    engine, [bar] { bar->arrive(); });
+        }
+    }
+
+    // Tick callbacks hold `this`.
+    DriftMonitor(const DriftMonitor &) = delete;
+    DriftMonitor &operator=(const DriftMonitor &) = delete;
+
+    void
+    tick(int j)
+    {
+        const SystemConfig &config = run.config;
+        if (config.metrics != nullptr)
+            config.metrics->counter("train.monitor.ticks", labels).inc();
+        if (enabled && j >= config.warmup &&
+            j >= lastReplanIter + kReplanCooldown) {
+            std::vector<Seconds> observed(predicted.size(), 0.0);
+            double drift = 0.0;
+            for (int g = 0; g < config.gpuCount; ++g) {
+                const auto gi = static_cast<std::size_t>(g);
+                // The interval includes the input-gate wait, so the
+                // monitor also sees faults that only starve the input
+                // pipeline. A checkpoint drain between the two
+                // iteration ends is planned-for overhead, not drift.
+                observed[gi] = iterationInterval(run.driver, g, j);
+                const auto &drain =
+                    run.driver.checkpointSpan(g, std::max(0, j - 1));
+                if (j >= 1 && drain.valid())
+                    observed[gi] =
+                        std::max(0.0, observed[gi] - drain.duration());
+                if (predicted[gi] > 0.0) {
+                    drift =
+                        std::max(drift, observed[gi] / predicted[gi] - 1.0);
+                }
+            }
+            if (config.metrics != nullptr)
+                config.metrics->series("train.drift", labels).append(j, drift);
+            if (drift > kReplanDriftThreshold) {
+                replan(observed);
+                lastReplanIter = j;
+            }
+        }
+        feeder.push(j + kPushAhead);
+    }
+
+    void
+    replan(const std::vector<Seconds> &observed)
+    {
+        const SystemConfig &config = run.config;
+        auto &engine = run.node.cluster.engine();
+        obs::Span replan_span(config.metrics, "train.replan", labels);
         replan_span.annotateSim(engine.now(), engine.now());
         // Re-derive every GPU's capacity profile from its current
-        // (possibly degraded) resource envelopes and reschedule the
-        // co-run; with replanMapping the joint mapping search reruns
-        // too. The offline phase's planning pool is reused.
-        std::vector<CapacityProfile> degraded(profiles.size());
-        for (int g = 0; g < gpus; ++g) {
-            const auto gi = static_cast<std::size_t>(g);
-            const auto &device = cluster.device(g);
+        // (possibly degraded) resource envelopes and rerun the
+        // planning chain over them on the offline phase's pool.
+        std::vector<CapacityProfile> degraded(predicted.size());
+        for (std::size_t g = 0; g < degraded.size(); ++g) {
+            const auto &device =
+                run.node.cluster.device(static_cast<int>(g));
             // Profiles already fold in the configured co-location
             // envelope, and so does the device's live capacity (it
             // started from the envelope share); degrade only by the
@@ -1113,115 +1196,62 @@ runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
             // would double-count its envelope.
             const GpuEnvelope env = config.envelopes.empty()
                                         ? GpuEnvelope{}
-                                        : config.envelopes[gi];
-            degraded[gi] = degradeProfile(
-                profiles[gi],
+                                        : config.envelopes[g];
+            degraded[g] = degradeProfile(
+                offline.profiles[g],
                 std::min(1.0, device.smCapacity() / env.sm),
                 std::min(1.0, device.bwCapacity() / env.bw));
         }
-        if (config.replanMapping) {
-            mapping = mapper.mapRap(degraded, planner, /*max_moves=*/64,
-                                    pool.get());
-        }
-        CoRunScheduler scheduler(planner);
-        const auto gpu_count = static_cast<std::size_t>(gpus);
-        auto rescheduleGpu = [&](std::size_t g) {
-            auto kernels = planner.plan(
-                mapper.buildGpuGraph(mapping, static_cast<int>(g)),
-                config.batchPerGpu);
-            schedules[g] =
-                scheduler.schedule(std::move(kernels), degraded[g]);
-        };
-        if (pool != nullptr)
-            pool->parallelFor(gpu_count, rescheduleGpu);
-        else
-            for (std::size_t g = 0; g < gpu_count; ++g)
-                rescheduleGpu(g);
-        refreshMappingCosts();
+        offline.mapping = planner.map(degraded);
+        offline.schedules = planner.schedule(offline.mapping, degraded);
+        feeder.reprice();
         // Calibrate the monitor to the new plan so drift re-arms
         // relative to the degraded prediction (or the observation,
         // when the fault is invisible to the capacity envelopes).
-        for (std::size_t g = 0; g < gpu_count; ++g)
+        for (std::size_t g = 0; g < degraded.size(); ++g)
             predicted[g] =
                 std::max(degraded[g].iterationLatency, observed[g]);
         ++replans;
-    };
-
-    // One monitor tick per iteration: once every GPU has finished
-    // iteration j, check observed-vs-predicted drift, then extend the
-    // batch pipeline by one (batch j + kPushAhead uses whatever
-    // schedule is current — the splice point).
-    const int tick_count = std::max(0, n - kPushAhead);
-    std::vector<std::unique_ptr<InputBarrier>> ticks;
-    ticks.reserve(static_cast<std::size_t>(tick_count));
-    for (int j = 0; j < tick_count; ++j) {
-        auto tick = std::make_unique<InputBarrier>(engine, gpus);
-        auto fired = sim::makeEvent("monitor." + std::to_string(j));
-        tick->addTarget(fired);
-        fired->addWaiter(engine, [&, j] {
-            if (metrics != nullptr)
-                metrics->counter("train.monitor.ticks", labels).inc();
-            if (replan_enabled && j >= config.warmup &&
-                j >= last_replan_iter + kReplanCooldown) {
-                std::vector<Seconds> observed(
-                    static_cast<std::size_t>(gpus), 0.0);
-                double drift = 0.0;
-                for (int g = 0; g < gpus; ++g) {
-                    const auto gi = static_cast<std::size_t>(g);
-                    // Iteration interval, not span: it includes the
-                    // input-gate wait, so the monitor also sees
-                    // faults that only starve the input pipeline.
-                    const auto &span = driver.iterationSpan(g, j);
-                    observed[gi] =
-                        j >= 1 ? span.end -
-                                     driver.iterationSpan(g, j - 1).end
-                               : span.end - span.start;
-                    // A checkpoint drain between the two iteration
-                    // ends is planned-for overhead, not drift.
-                    if (j >= 1 &&
-                        driver.checkpointSpan(g, j - 1).valid()) {
-                        observed[gi] = std::max(
-                            0.0,
-                            observed[gi] -
-                                driver.checkpointSpan(g, j - 1)
-                                    .duration());
-                    }
-                    if (predicted[gi] > 0.0) {
-                        drift = std::max(
-                            drift,
-                            observed[gi] / predicted[gi] - 1.0);
-                    }
-                }
-                if (metrics != nullptr)
-                    metrics->series("train.drift", labels).append(j, drift);
-                if (drift > kReplanDriftThreshold) {
-                    replan(observed);
-                    last_replan_iter = j;
-                }
-            }
-            for (int g = 0; g < gpus; ++g)
-                pushBatch(g, j + kPushAhead);
-        });
-        for (int g = 0; g < gpus; ++g) {
-            auto *bar = tick.get();
-            driver.iterEnd(g, j)->addWaiter(engine,
-                                            [bar] { bar->arrive(); });
-        }
-        ticks.push_back(std::move(tick));
     }
 
-    // Prime the pipeline with the first kPushAhead batches; the
-    // monitor ticks keep it topped up from there.
-    for (int j = 0; j < std::min(kPushAhead, n); ++j)
-        for (int g = 0; g < gpus; ++g)
-            pushBatch(g, j);
+    SimulatedRun &run;
+    const Planner &planner;
+    OfflinePlan &offline;
+    BatchFeeder &feeder;
+    const obs::Labels labels;
+    const bool enabled;
+    /** Per-GPU predicted iteration interval the drift is measured on. */
+    std::vector<Seconds> predicted;
+    int replans = 0;
+    int lastReplanIter = -1;
+    std::vector<std::unique_ptr<InputBarrier>> ticks;
+};
 
+RunReport
+runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
+{
+    // ---- Offline phase, fanned out over the planning pool (serial
+    // when planningThreads == 1); a replan reuses pool and planner. ----
+    std::unique_ptr<ThreadPool> pool;
+    if (config.planningThreads != 1)
+        pool = std::make_unique<ThreadPool>(config.planningThreads);
+    const Planner planner(config, plan, pool.get());
+    OfflinePlan offline = planValidated(planner, plan);
+    const std::uint64_t offline_nodes = planner.fusion.milpNodesExplored();
+
+    // ---- Online phase: co-running execution. ----
+    SimulatedRun run(config, plan);
+    BatchFeeder feeder(run, planner, offline);
+    DriftMonitor monitor(run, planner, offline, feeder);
+    // Prime the pipeline; the monitor's ticks keep it topped up.
+    for (int j = 0; j < std::min(kPushAhead, config.iterations); ++j)
+        feeder.push(j);
     run.simulate();
 
     RunReport report;
     report.avgIterationLatency = run.steadyInterval();
     RunningStat launches, exposed, pre_lat;
-    for (const auto &schedule : schedules) {
+    for (const auto &schedule : offline.schedules) {
         launches.add(static_cast<double>(schedule.kernelCount()));
         exposed.add(schedule.estimatedExposed);
         pre_lat.add(schedule.totalPreprocLatency);
@@ -1229,14 +1259,15 @@ runGpuSystem(const SystemConfig &config, const preproc::PreprocPlan &plan)
     report.preprocKernelsPerIter = launches.mean();
     report.predictedExposed = exposed.mean();
     report.preprocLatencyPerIter = pre_lat.mean();
-    report.replans = replans;
-    if (metrics != nullptr) {
-        metrics->counter("train.replans", labels)
-            .inc(static_cast<std::uint64_t>(replans));
-        metrics->counter("replan.milp.nodes_explored", labels)
-            .inc(planner.milpNodesExplored());
+    report.replans = monitor.replans;
+    if (config.metrics != nullptr) {
+        const auto labels = runLabels(config);
+        config.metrics->counter("train.replans", labels)
+            .inc(static_cast<std::uint64_t>(monitor.replans));
+        config.metrics->counter("replan.milp.nodes_explored", labels)
+            .inc(planner.fusion.milpNodesExplored() - offline_nodes);
     }
-    return run.finish(std::move(report), &predicted);
+    return run.finish(std::move(report), &monitor.predicted);
 }
 
 } // namespace
@@ -1246,7 +1277,7 @@ planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
             ThreadPool *pool)
 {
     requireValid(config);
-    return planValidated(config, plan, pool);
+    return planValidated(Planner(config, plan, pool), plan);
 }
 
 RunReport

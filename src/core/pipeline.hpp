@@ -164,15 +164,12 @@ struct SystemConfig
     /**
      * Online replanning: after warmup, compare each iteration's
      * observed latency against the cost model's prediction; past a
-     * 15% relative drift, re-run the co-run scheduler (and, with
-     * replanMapping, the joint mapping search) on the degraded
-     * resource envelopes using the planning pool, splicing the new
-     * schedule in at the next batch boundary. Applies to RAP variants
-     * with capacity scheduling.
+     * 15% relative drift, rerun the offline planning chain (the run's
+     * own mapping strategy, fusion, co-run scheduling) on the degraded
+     * resource envelopes, splicing the new schedule in at the next
+     * batch boundary. Applies to RAP variants with capacity scheduling.
      */
     bool replanOnDrift = false;
-    /** Also re-run GraphMapper::mapRap on each replan. */
-    bool replanMapping = false;
     /**
      * Checkpoint/restore policy (core/checkpoint.hpp). FixedInterval
      * and YoungDaly charge checkpoint drains to the simulated
