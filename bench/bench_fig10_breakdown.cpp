@@ -54,8 +54,10 @@ main(int argc, char **argv)
             config.gpuCount = 8;
             config.batchPerGpu = 4096;
             config.metrics = metrics;
-            config.metricsScope = "p" + std::to_string(plan_id) + "." +
-                                  core::systemId(system);
+            config.metricsScope = "p";
+            config.metricsScope += std::to_string(plan_id);
+            config.metricsScope += '.';
+            config.metricsScope += core::systemId(system);
             tput[system] = core::runSystem(config, plan).throughput;
         }
         const double seq = tput[core::System::SequentialGpu];

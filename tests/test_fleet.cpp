@@ -98,8 +98,9 @@ TEST(FleetJob, ArrivalTraceIsSeededAndOrdered)
         EXPECT_EQ(a[j].batchPerGpu, b[j].batchPerGpu);
         EXPECT_GE(a[j].gpusRequested, 1);
         EXPECT_LE(a[j].gpusRequested, 8);
-        if (j > 0)
+        if (j > 0) {
             EXPECT_GE(a[j].arrival, a[j - 1].arrival);
+        }
     }
 
     auto other_options = tinyTraceOptions(12);
