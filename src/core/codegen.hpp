@@ -18,7 +18,6 @@
 
 #include "core/capacity.hpp"
 #include "core/corun_scheduler.hpp"
-#include "core/mapping.hpp"
 
 namespace rap::core {
 
@@ -43,12 +42,6 @@ class ScheduleCodegen
     static std::string renderPythonFrontend(
         const CoRunSchedule &schedule, const CapacityProfile &profile,
         int gpu);
-
-    /**
-     * @return A summary of a graph mapping: items and communication
-     *         volume per GPU.
-     */
-    static std::string renderMappingSummary(const GraphMapping &mapping);
 };
 
 } // namespace rap::core

@@ -101,12 +101,6 @@ class TrainingDriver
     /** @return Checkpoint drain span of (gpu, iter); invalid if none. */
     const OpSpan &checkpointSpan(int gpu, int iter) const;
 
-    /** @return Iterations that had a checkpoint pushed after them. */
-    const std::vector<int> &checkpointIterations() const
-    {
-        return checkpointIters_;
-    }
-
     /**
      * @return Measured per-checkpoint cost: the mean over executed
      *         checkpoints of the slowest GPU's drain duration (GPUs

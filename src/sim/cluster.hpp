@@ -67,9 +67,6 @@ class Cluster
     /** @return Physical GPU ordinal behind local device @p id. */
     int globalGpuId(int id) const;
 
-    /** @return Physical ordinals of every local device, in order. */
-    const std::vector<int> &globalGpuIds() const { return globalIds_; }
-
     Host &host() { return *host_; }
 
     /**
@@ -87,12 +84,6 @@ class Cluster
      * after the call (fault injection; see sim/fault.hpp).
      */
     void setCollectiveBandwidthScale(double scale);
-
-    /** @return Current fabric bandwidth scale (1.0 = healthy). */
-    double collectiveBandwidthScale() const
-    {
-        return collectiveBandwidthScale_;
-    }
 
     /**
      * Partition the node's devices into @p zone_count conservative

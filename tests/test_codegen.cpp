@@ -77,17 +77,5 @@ TEST(Codegen, PythonFrontendMentionsLayersAndKernels)
     EXPECT_EQ(launches, f.schedule.kernels.size());
 }
 
-TEST(Codegen, MappingSummaryHasOneRowPerGpu)
-{
-    Fixture f;
-    GraphMapper mapper(f.plan, f.sharding, f.clusterSpec, 4096);
-    const auto mapping = mapper.map(MappingStrategy::DataParallel);
-    const auto summary =
-        ScheduleCodegen::renderMappingSummary(mapping);
-    EXPECT_NE(summary.find("comm out"), std::string::npos);
-    EXPECT_NE(summary.find("0"), std::string::npos);
-    EXPECT_NE(summary.find("1"), std::string::npos);
-}
-
 } // namespace
 } // namespace rap::core
