@@ -37,6 +37,28 @@ fleetLabels(const FleetOptions &options)
     return labels;
 }
 
+/** Add @p n to fleet counter @p name; a no-op without a registry. */
+void
+countFleet(const FleetOptions &options, const char *name,
+           std::uint64_t n = 1)
+{
+    if (options.metrics != nullptr)
+        options.metrics->counter(name, fleetLabels(options)).inc(n);
+}
+
+/**
+ * @return A catalog frame op record for @p job, keyed `op` then `job`;
+ *         callers append any further keys after these two.
+ */
+Json
+jobOp(const char *op, int job)
+{
+    Json record = Json::object();
+    record.set("op", Json(op));
+    record.set("job", Json(job));
+    return record;
+}
+
 /**
  * Plan-cache key: jobs with the same plan id and n-gram stress share
  * one preprocessing plan.
@@ -44,8 +66,11 @@ fleetLabels(const FleetOptions &options)
 std::string
 planKey(const JobSpec &spec)
 {
-    return "p" + std::to_string(spec.planId) + ".s" +
-           std::to_string(spec.ngramStress);
+    std::string key = "p";
+    key += std::to_string(spec.planId);
+    key += ".s";
+    key += std::to_string(spec.ngramStress);
+    return key;
 }
 
 /**
@@ -59,12 +84,10 @@ memoKey(const JobSpec &spec, const std::vector<core::GpuEnvelope> &envelopes)
 {
     std::string key = spec.variantKey();
     for (const auto &env : envelopes) {
-        key += "|" +
-               std::to_string(static_cast<long long>(
-                   std::llround(env.sm / kEnvelopeQuantum))) +
-               "," +
-               std::to_string(static_cast<long long>(
-                   std::llround(env.bw / kEnvelopeQuantum)));
+        key += '|';
+        key += std::to_string(std::llround(env.sm / kEnvelopeQuantum));
+        key += ',';
+        key += std::to_string(std::llround(env.bw / kEnvelopeQuantum));
     }
     return key;
 }
@@ -176,11 +199,7 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
     if (!tracing) {
         const auto it = memo_.find(key);
         if (it != memo_.end()) {
-            if (options_.metrics != nullptr) {
-                options_.metrics
-                    ->counter("fleet.memo.hit", fleetLabels(options_))
-                    .inc();
-            }
+            countFleet(options_, "fleet.memo.hit");
             return it->second;
         }
     }
@@ -205,11 +224,7 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
         core::runSystem(config, planCache_.at(planKey(spec)));
     ++report_.simulationsRun;
     memo_[key] = report;
-    if (options_.metrics != nullptr) {
-        options_.metrics
-            ->counter("fleet.memo.miss", fleetLabels(options_))
-            .inc();
-    }
+    countFleet(options_, "fleet.memo.miss");
     return report;
 }
 
@@ -257,11 +272,7 @@ FleetScheduler::precomputeReferences()
             sim::subsetSpec(options_.node, spec.gpusRequested);
         return core::runSystem(config, planCache_.at(planKey(spec)));
     };
-    if (options_.metrics != nullptr) {
-        options_.metrics
-            ->counter("fleet.reference_sims", fleetLabels(options_))
-            .inc(unique_jobs.size());
-    }
+    countFleet(options_, "fleet.reference_sims", unique_jobs.size());
     std::vector<core::RunReport> references;
     if (pool_ != nullptr && pool_->threadCount() > 1) {
         references = pool_->parallelMap<core::RunReport>(
@@ -404,9 +415,7 @@ FleetScheduler::run()
         if (logging) {
             // The placement-decision record: granted devices plus the
             // exact (quantised) envelope reservation the job holds.
-            Json op = Json::object();
-            op.set("op", Json("place"));
-            op.set("job", Json(spec.id));
+            Json op = jobOp("place", spec.id);
             op.set("segment", Json(running.generation));
             op.set("start", Json(now));
             op.set("duration", Json(duration));
@@ -414,10 +423,8 @@ FleetScheduler::run()
             op.set("placement", placement.toJson());
             frame_ops.push(std::move(op));
         }
+        countFleet(options_, "fleet.placements");
         if (options_.metrics != nullptr) {
-            options_.metrics
-                ->counter("fleet.placements", fleetLabels(options_))
-                .inc();
             obs::Labels seg_labels = fleetLabels(options_);
             seg_labels.set("job", std::to_string(spec.id));
             options_.metrics->recordSimSpan(
@@ -467,12 +474,7 @@ FleetScheduler::run()
                         replayServe(spec, projection, now + charge);
                     if (!replay.latencies.empty() &&
                         rap::p99(replay.latencies) > spec.sloLatency) {
-                        if (options_.metrics != nullptr) {
-                            options_.metrics
-                                ->counter("fleet.slo_rejections",
-                                          fleetLabels(options_))
-                                .inc();
-                        }
+                        countFleet(options_, "fleet.slo_rejections");
                         ++i;
                         continue;
                     }
@@ -490,12 +492,8 @@ FleetScheduler::run()
         switch (event.kind) {
           case EventKind::Arrival: {
             queue_.push({event.id, 1.0, event.time, 0});
-            if (logging) {
-                Json op = Json::object();
-                op.set("op", Json("admit"));
-                op.set("job", Json(event.id));
-                frame_ops.push(std::move(op));
-            }
+            if (logging)
+                frame_ops.push(jobOp("admit", event.id));
             break;
           }
           case EventKind::Finish: {
@@ -549,12 +547,8 @@ FleetScheduler::run()
             }
             applyReservation(jobs_[ji], it->second.placement, -1);
             running_.erase(it);
-            if (logging) {
-                Json op = Json::object();
-                op.set("op", Json("finish"));
-                op.set("job", Json(event.id));
-                frame_ops.push(std::move(op));
-            }
+            if (logging)
+                frame_ops.push(jobOp("finish", event.id));
             break;
           }
           case EventKind::Degrade: {
@@ -659,9 +653,7 @@ FleetScheduler::run()
                     manifest.segment = running.generation;
                     ++sealCount_[ji];
                     lastDurable_[ji] = durable;
-                    Json op = Json::object();
-                    op.set("op", Json("seal"));
-                    op.set("job", Json(spec.id));
+                    Json op = jobOp("seal", spec.id);
                     op.set("manifest", manifest.toJson());
                     frame_ops.push(std::move(op));
                 }
@@ -693,35 +685,20 @@ FleetScheduler::run()
                     outcome.report.submittedAt = spec.arrival;
                     outcome.report.startedAt = outcome.firstStart;
                     outcome.report.finishedAt = event.time;
-                    if (logging) {
-                        Json op = Json::object();
-                        op.set("op", Json("finish"));
-                        op.set("job", Json(job_id));
-                        frame_ops.push(std::move(op));
-                    }
+                    if (logging)
+                        frame_ops.push(jobOp("finish", job_id));
                     continue;
                 }
                 queue_.pushFront(queued);
                 if (logging) {
-                    Json op = Json::object();
-                    op.set("op", Json("preempt"));
-                    op.set("job", Json(job_id));
+                    Json op = jobOp("preempt", job_id);
                     op.set("remaining",
                            Json(queued.remainingFraction));
                     frame_ops.push(std::move(op));
                 }
-                if (options_.metrics != nullptr) {
-                    options_.metrics
-                        ->counter("fleet.requeues",
-                                  fleetLabels(options_))
-                        .inc();
-                    if (crash) {
-                        options_.metrics
-                            ->counter("fleet.crash_requeues",
-                                      fleetLabels(options_))
-                            .inc();
-                    }
-                }
+                countFleet(options_, "fleet.requeues");
+                if (crash)
+                    countFleet(options_, "fleet.crash_requeues");
             }
             break;
           }
@@ -742,12 +719,7 @@ FleetScheduler::run()
             auto relaxed = options_.placement;
             relaxed.minEnvelope = 0.0;
             relaxed.headroom = 1.0;
-            if (options_.metrics != nullptr) {
-                options_.metrics
-                    ->counter("fleet.relaxed_scans",
-                              fleetLabels(options_))
-                    .inc();
-            }
+            countFleet(options_, "fleet.relaxed_scans");
             placeScan(event.time, relaxed, /*enforce_slo=*/false);
             RAP_ASSERT(queue_.empty() || !running_.empty(),
                        "fleet deadlock: ", queue_.size(),
